@@ -8,7 +8,6 @@ use std::time::Duration;
 use msp_kv::KvStore;
 use msp_net::EndpointId;
 use msp_types::{DomainId, MspId};
-use msp_wal::ReplacementPolicy;
 
 /// Static description of the cluster: which MSP belongs to which service
 /// domain (§1.3: domains are disjoint; end clients are outside all of
@@ -180,26 +179,16 @@ pub struct MspConfig {
     /// starves new sessions arriving mid-recovery.
     pub recovery_threads: usize,
     /// 64 KB blocks in the shared read-only replay cache over the
-    /// immutable crash-time log. All concurrently replaying sessions hit
-    /// this pool instead of issuing per-frame device reads.
+    /// immutable crash-time log. Crash recovery replays from the records
+    /// its analysis scan retained; this pool serves what a session's
+    /// queue does not hold (the tail of a replay window longer than
+    /// `logging.session_ckpt_threshold`) instead of per-frame device
+    /// reads.
     pub replay_cache_blocks: usize,
     /// Replay crashed sessions one at a time on a single thread with
     /// per-session whole-window read charging — the measured baseline the
     /// parallel engine is compared against.
     pub serial_recovery: bool,
-    /// Replacement policy of the process-wide replay buffer pool
-    /// (clock / LRU / SIEVE).
-    pub replacement_policy: ReplacementPolicy,
-    /// Overlap crash recovery's phases: warm the replay pool from the
-    /// analysis scan's own chunk stream and start the parallel replay
-    /// pool before the post-recovery MSP checkpoint, instead of strictly
-    /// sequencing scan → checkpoint → replay. Off restores the serial
-    /// phase order (the measured baseline).
-    pub overlapped_recovery: bool,
-    /// Run a prefetcher over the longest-first replay schedule that pulls
-    /// each session's replay window into the buffer pool ahead of its
-    /// recovery worker.
-    pub recovery_prefetch: bool,
     /// Let blind read-modify-writes through registered shared operations
     /// log compact `SharedOp` records (op id + args) instead of the
     /// value-logged read/write pair, while per-variable chain length and
@@ -247,9 +236,6 @@ impl MspConfig {
             recovery_threads: 4,
             replay_cache_blocks: 64,
             serial_recovery: false,
-            replacement_policy: ReplacementPolicy::Clock,
-            overlapped_recovery: true,
-            recovery_prefetch: true,
             adaptive_logging: false,
             log_stripes: 0,
             runtime_shards: 1,
@@ -349,24 +335,6 @@ impl MspConfig {
     }
 
     #[must_use]
-    pub fn with_replacement_policy(mut self, policy: ReplacementPolicy) -> MspConfig {
-        self.replacement_policy = policy;
-        self
-    }
-
-    #[must_use]
-    pub fn with_overlapped_recovery(mut self, overlapped: bool) -> MspConfig {
-        self.overlapped_recovery = overlapped;
-        self
-    }
-
-    #[must_use]
-    pub fn with_recovery_prefetch(mut self, prefetch: bool) -> MspConfig {
-        self.recovery_prefetch = prefetch;
-        self
-    }
-
-    #[must_use]
     pub fn with_adaptive_logging(mut self, adaptive: bool) -> MspConfig {
         self.adaptive_logging = adaptive;
         self
@@ -432,9 +400,6 @@ mod tests {
             .with_serial_recovery(true)
             .with_log_stripes(4)
             .with_runtime_shards(2)
-            .with_replacement_policy(ReplacementPolicy::Sieve)
-            .with_overlapped_recovery(false)
-            .with_recovery_prefetch(false)
             .with_adaptive_logging(true);
         assert_eq!(cfg.rpc_retry_limit, 3);
         assert!(!cfg.durability_watermarks);
@@ -448,9 +413,6 @@ mod tests {
         assert!(cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 4);
         assert_eq!(cfg.runtime_shards, 2);
-        assert_eq!(cfg.replacement_policy, ReplacementPolicy::Sieve);
-        assert!(!cfg.overlapped_recovery);
-        assert!(!cfg.recovery_prefetch);
         assert!(cfg.adaptive_logging);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
         assert_eq!(cfg.rpc_retry_limit, 10_000);
@@ -471,13 +433,6 @@ mod tests {
         assert!(!cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 0, "single log is the default");
         assert_eq!(cfg.runtime_shards, 1, "one shard is the default");
-        assert_eq!(
-            cfg.replacement_policy,
-            ReplacementPolicy::Clock,
-            "clock is the default replacement policy"
-        );
-        assert!(cfg.overlapped_recovery, "overlap is the default");
-        assert!(cfg.recovery_prefetch, "prefetch is the default");
         assert!(!cfg.adaptive_logging, "value logging is the default diet");
         assert_eq!(
             cfg.logging.checkpoint_interval_bytes,

@@ -14,10 +14,13 @@
 //!   anchored MSP checkpoint, run a pipelined analysis scan (a prefetch
 //!   stage streams 64 KB chunks ahead of decode) that rebuilds position
 //!   streams / rolls shared variables forward / gathers recovered-state
-//!   knowledge, broadcast our own recovered state number, checkpoint,
+//!   knowledge and **keeps the session records it decoded** in
+//!   per-session replay queues, broadcast our own recovered state number,
 //!   then replay all sessions **in parallel** on a dedicated recovery
-//!   pool — longest window first, through a shared read-only block cache
-//!   — while the worker pool is already accepting new work.
+//!   pool — longest window first, from their queues — while the recovery
+//!   checkpoint is taken and the worker pool is already accepting new
+//!   work. The log is read once; only a replay window longer than the
+//!   retained prefix goes back to it, through a shared block cache.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -30,7 +33,7 @@ use msp_wal::record::MspCheckpointBody;
 use msp_wal::{CrashPoint, LogRecord, PositionStream, WalReplayCache};
 
 use crate::envelope::ReplyStatus;
-use crate::replay::{Consume, ReplayCursor};
+use crate::replay::{Consume, ReplayCursor, ReplayQueue};
 use crate::runtime::MspInner;
 use crate::service::{take_fatal, ServiceContext};
 use crate::session::{SessionCell, SessionState};
@@ -44,6 +47,35 @@ pub(crate) struct RecoveryOutcome {
     /// window's byte span and pre-ordered for the pool: longest window
     /// first (LPT makespan scheduling), or by id under `serial_recovery`.
     pub sessions_to_replay: Vec<(SessionId, u64)>,
+}
+
+/// What the analysis scan has gathered about one session.
+struct ScannedSession {
+    /// Where replay starts, and whether that is a session checkpoint.
+    anchor: (Lsn, bool),
+    stream: PositionStream,
+    /// `None` under `serial_recovery`, which re-reads the log.
+    queue: Option<Box<ReplayQueue>>,
+}
+
+/// The session whose replay stream `record` belongs to, if any. Shared
+/// writes and ops belong to *two* recovery units: the variable rolls
+/// forward from them, and they join the writing session's stream — the
+/// replay write/op half consumes them, so one the crash cut off surfaces
+/// as end-of-stream and re-executes live instead of being silently
+/// dropped (on a striped log it lives on the variable's stripe and can be
+/// lost while the session's own records survive).
+fn stream_session(record: &LogRecord) -> Option<SessionId> {
+    match record {
+        LogRecord::RequestReceive { session, .. }
+        | LogRecord::ReplyReceive { session, .. }
+        | LogRecord::SharedRead { session, .. }
+        | LogRecord::SharedWrite { session, .. }
+        | LogRecord::SharedOp { session, .. }
+        | LogRecord::OutgoingBind { session, .. }
+        | LogRecord::Eos { session, .. } => Some(*session),
+        _ => None,
+    }
 }
 
 impl MspInner {
@@ -68,9 +100,12 @@ impl MspInner {
         let log = self.log();
         let me = self.cfg.id;
 
-        // During crash recovery all sessions share one read-only block
-        // cache over the immutable crash-time log; outside it (live
-        // orphan recovery, serial baseline) reads go to the log directly.
+        // After a crash the analysis scan left this session's records in
+        // its queue; what the queue does not hold is read through the
+        // block cache all sessions share over the immutable crash-time
+        // log. Outside crash recovery (live orphan recovery, serial
+        // baseline) there is neither, and reads go to the log directly.
+        let mut queue = st.replay_queue.take();
         let cache = self.replay_cache.lock().clone();
 
         // Snapshot the replay window, then reset the session to its most
@@ -79,9 +114,10 @@ impl MspInner {
         let ckpt_record = match st.last_ckpt {
             Some(ckpt) => Some((
                 ckpt,
-                match &cache {
-                    Some(c) => c.read_record(ckpt)?,
-                    None => log.read_record(ckpt)?,
+                match (queue.as_mut().and_then(|q| q.take_checkpoint(ckpt)), &cache) {
+                    (Some(held), _) => held,
+                    (None, Some(c)) => c.read_record(ckpt)?,
+                    (None, None) => log.read_record(ckpt)?,
                 },
             )),
             None => None,
@@ -104,11 +140,10 @@ impl MspInner {
         };
         *st = restored;
 
-        // I/O accounting: with the shared cache, each 64 KB block is
-        // charged once, on its cache miss — overlapping replay windows no
-        // longer bill the same bytes once per session. Without a cache,
-        // charge the whole window sequentially (§5.4: replay reads 64 KB
-        // chunks).
+        // I/O accounting: the queue costs nothing (the scan paid for those
+        // bytes) and the shared cache charges each 64 KB block once, on
+        // its miss. Without either, charge the whole window sequentially
+        // (§5.4: replay reads 64 KB chunks).
         if cache.is_none() {
             if let (Some(&first), Some(&last)) = (positions.first(), positions.last()) {
                 log.charge_sequential_read(last.0 - first.0 + 1);
@@ -116,6 +151,9 @@ impl MspInner {
         }
 
         let mut cursor = ReplayCursor::new(positions).with_cache(cache);
+        if let Some(queue) = queue {
+            cursor = cursor.with_queue(*queue);
+        }
         loop {
             // Crash site: the kill lands mid-replay of this recovery —
             // the crash-during-recovery case of §4.5. The error unwinds
@@ -258,59 +296,41 @@ impl MspInner {
         scan_start = scan_start.max(log.floor());
 
         // 2. Analysis scan: rebuild position streams, roll shared
-        //    variables forward, gather knowledge. The parallel engine
-        //    streams chunks off the disk in a prefetch stage so decode
-        //    overlaps I/O; the serial baseline alternates read/decode.
-        //
-        //    The shared replay pool is built *before* the scan so that
-        //    under overlapped recovery the scan's own chunk stream warms
-        //    it: every 64 KB block the analysis reads off the disk is
-        //    dropped into the pool in passing, and session replay — which
-        //    re-reads exactly this window — starts against a hot pool
-        //    instead of paying the disk a second time. Records recovery
-        //    appends from here on land past the pool's limit (the
-        //    crash-time durable end) and fall back to direct log reads.
-        if !self.cfg.serial_recovery {
-            let pool = Arc::new(msp_wal::BufferPool::new(
-                self.cfg.replay_cache_blocks,
-                self.cfg.replacement_policy,
-            ));
+        //    variables forward, gather knowledge — and keep what was
+        //    decoded. Each session-stream record moves, with its framed
+        //    length, into its session's replay queue, so replay does not
+        //    read and decode the window a second time. A queue is a
+        //    prefix capped at the session checkpointing threshold, the
+        //    bound checkpointing already puts on a replay window; a
+        //    longer window (checkpoints off) keeps positions only past
+        //    the cap and reads that tail through the replay pool built
+        //    here. Records recovery appends from here on land past the
+        //    pool's limit (the crash-time durable end) and fall back to
+        //    direct log reads. The parallel engine streams chunks off the
+        //    disk in a prefetch stage so decode overlaps I/O; the serial
+        //    baseline alternates read/decode, retains nothing and replays
+        //    from the log — the independent oracle for all of the above.
+        let serial = self.cfg.serial_recovery;
+        if !serial {
+            let pool = Arc::new(msp_wal::BufferPool::new(self.cfg.replay_cache_blocks));
             *self.replay_cache.lock() = Some(Arc::new(WalReplayCache::with_pool(log, &pool)));
         }
-        let mut streams: HashMap<SessionId, PositionStream> = HashMap::new();
-        let mut anchors: HashMap<SessionId, (Lsn, bool)> = HashMap::new();
+        let cap = self.cfg.logging.session_ckpt_threshold;
+        let mut sessions: HashMap<SessionId, ScannedSession> = HashMap::new();
         let mut ended: HashSet<SessionId> = HashSet::new();
-        let warm_cache = (!self.cfg.serial_recovery && self.cfg.overlapped_recovery)
-            .then(|| self.replay_cache.lock().clone())
-            .flatten();
-        let mut scan = if self.cfg.serial_recovery {
+        let mut scan = if serial {
             log.scan_from(scan_start)
-        } else if let Some(cache) = &warm_cache {
-            log.scan_from_pipelined_fed(scan_start, cache)
         } else {
             log.scan_from_pipelined(scan_start)
         };
-        for item in &mut scan {
+        while let Some(item) = scan.next() {
             let (lsn, record) = item?;
+            // After a pull the scanner sits at the record's end.
+            let framed = scan.position().0 - lsn.0;
             match &record {
-                LogRecord::SessionCheckpoint { session, .. } => {
-                    anchors.insert(*session, (lsn, true));
-                    streams.insert(*session, PositionStream::new());
-                }
                 LogRecord::SessionEnd { session } => {
                     ended.insert(*session);
-                    anchors.remove(session);
-                    streams.remove(session);
-                }
-                LogRecord::RequestReceive { session, .. }
-                | LogRecord::ReplyReceive { session, .. }
-                | LogRecord::SharedRead { session, .. }
-                | LogRecord::OutgoingBind { session, .. }
-                | LogRecord::Eos { session, .. } => {
-                    if !ended.contains(session) {
-                        anchors.entry(*session).or_insert((lsn, false));
-                        streams.entry(*session).or_default().push(lsn);
-                    }
+                    sessions.remove(session);
                 }
                 LogRecord::SharedCheckpoint { var, value } => {
                     if let Some(v) = self.shared.get(*var) {
@@ -325,24 +345,11 @@ impl MspInner {
                     }
                 }
                 LogRecord::SharedWrite {
-                    session,
                     var,
                     value,
                     writer_dv,
                     ..
                 } => {
-                    // The write belongs to *two* recovery units: the
-                    // variable rolls forward from it below, and it joins
-                    // the writing session's replay stream — the replay
-                    // write-half consumes it, so a write the crash cut
-                    // off surfaces as end-of-stream and re-executes live
-                    // instead of being silently dropped (on a striped log
-                    // the write lives on the variable's stripe and can be
-                    // lost while the session's own records survive).
-                    if !ended.contains(session) {
-                        anchors.entry(*session).or_insert((lsn, false));
-                        streams.entry(*session).or_default().push(lsn);
-                    }
                     if let Some(v) = self.shared.get(*var) {
                         let mut vst = v.state.lock();
                         vst.value = value.clone();
@@ -357,24 +364,17 @@ impl MspInner {
                     }
                 }
                 LogRecord::SharedOp {
-                    session,
                     var,
                     op,
                     args,
                     writer_dv,
                     ..
                 } => {
-                    // Like a write, the op belongs to two recovery units:
-                    // the session's stream (the replay op-half consumes
-                    // it) and the variable, which rolls forward by
-                    // re-applying the registered operation. The scan
-                    // starts at or before the variable's anchor, so the
-                    // whole chain from the last value bearer is replayed
-                    // in order and the forward application is exact.
-                    if !ended.contains(session) {
-                        anchors.entry(*session).or_insert((lsn, false));
-                        streams.entry(*session).or_default().push(lsn);
-                    }
+                    // The variable rolls forward by re-applying the
+                    // registered operation. The scan starts at or before
+                    // the variable's anchor, so the whole chain from the
+                    // last value bearer is replayed in order and the
+                    // forward application is exact.
                     if let Some(v) = self.shared.get(*var) {
                         let Some(f) = self.shared.op_fn(*op) else {
                             return Err(MspError::LogCorrupt {
@@ -412,6 +412,36 @@ impl MspInner {
                         reason: "stripe envelope leaked into analysis scan".into(),
                     })
                 }
+                // Session records only join a stream, below.
+                LogRecord::SessionCheckpoint { .. }
+                | LogRecord::RequestReceive { .. }
+                | LogRecord::ReplyReceive { .. }
+                | LogRecord::SharedRead { .. }
+                | LogRecord::OutgoingBind { .. }
+                | LogRecord::Eos { .. } => {}
+            }
+            if let LogRecord::SessionCheckpoint { session, .. } = &record {
+                // A checkpoint restarts the stream (and the queue) at itself.
+                sessions.insert(
+                    *session,
+                    ScannedSession {
+                        anchor: (lsn, true),
+                        stream: PositionStream::new(),
+                        queue: (!serial).then(|| Box::new(ReplayQueue::at_checkpoint(lsn, record))),
+                    },
+                );
+            } else if let Some(session) = stream_session(&record) {
+                if !ended.contains(&session) {
+                    let scanned = sessions.entry(session).or_insert_with(|| ScannedSession {
+                        anchor: (lsn, false),
+                        stream: PositionStream::new(),
+                        queue: (!serial).then(Box::<ReplayQueue>::default),
+                    });
+                    scanned.stream.push(lsn);
+                    if let Some(queue) = &mut scanned.queue {
+                        queue.push(record, framed, cap);
+                    }
+                }
             }
         }
 
@@ -442,25 +472,36 @@ impl MspInner {
         log.flush_to(lsn)?;
 
         // 4. Materialize the sessions in "awaiting replay" state. Their
-        //    requests either bounce Busy or recover inline (through the
-        //    shared replay cache built before the scan) until the
-        //    recovery pool reaches them.
+        //    requests either bounce Busy or recover inline — the queue
+        //    travels in the session's state, so whichever thread gets
+        //    there first takes it — until the recovery pool reaches them.
         let mut to_replay = Vec::new();
+        let (mut retained_bytes, mut overflow_records) = (0, 0);
         {
-            let mut sessions = self.sessions.lock();
-            for (sid, (anchor, is_ckpt)) in anchors {
-                let stream = streams.remove(&sid).unwrap_or_default();
-                let span = stream.span_bytes();
+            let mut live = self.sessions.lock();
+            for (sid, scanned) in sessions {
+                let (anchor, is_ckpt) = scanned.anchor;
+                if let Some(queue) = &scanned.queue {
+                    retained_bytes += queue.retained_bytes();
+                    overflow_records += queue.overflow_records();
+                }
+                to_replay.push((sid, scanned.stream.span_bytes()));
                 let mut st = SessionState::fresh();
-                st.positions = stream;
+                st.positions = scanned.stream;
                 st.first_lsn = Some(anchor);
                 st.last_ckpt = is_ckpt.then_some(anchor);
                 st.needs_recovery = true;
-                sessions.insert(sid, Arc::new(SessionCell::new(sid, st)));
-                to_replay.push((sid, span));
+                st.replay_queue = scanned.queue;
+                live.insert(sid, Arc::new(SessionCell::new(sid, st)));
             }
         }
-        if self.cfg.serial_recovery {
+        self.stats
+            .recovery_retained_bytes
+            .store(retained_bytes, Ordering::Relaxed);
+        self.stats
+            .recovery_overflow_records
+            .store(overflow_records, Ordering::Relaxed);
+        if serial {
             // The legacy deterministic order: ascending session id.
             to_replay.sort_unstable_by_key(|&(sid, _)| sid);
         } else {

@@ -32,12 +32,86 @@
 //!
 //! Cursor exhaustion (records lost in a crash, or the crash hit
 //! mid-request) also switches to live execution, with no EOS needed.
+//!
+//! After an MSP crash the cursor does not read the log a second time: the
+//! analysis scan hands each session a [`ReplayQueue`] of the records it
+//! already decoded, and the cursor pops them as it goes. Only what the
+//! queue does not hold — the tail of a window longer than the retained
+//! prefix, or any record once the queue has been consumed — is read back
+//! through the replay cache or the log.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use msp_types::{Lsn, MspError, MspId, MspResult, RecoveryKnowledge, SessionId};
 use msp_wal::{LogRecord, Wal, WalReplayCache};
+
+/// What the crash-recovery analysis scan keeps of one session's replay
+/// window, so replay does not read and decode it again: the decoded
+/// records of the position stream's *prefix* and where the stream's EOS
+/// records are. The scan moves each record in as it demultiplexes; the
+/// session's recovery takes the queue (once — it travels in the session's
+/// state, under its lock) and the cursor pops records as it consumes them.
+#[derive(Debug, Default)]
+pub struct ReplayQueue {
+    /// The `SessionCheckpoint` the stream restarts from, if it has one.
+    checkpoint: Option<(Lsn, LogRecord)>,
+    /// Record and framed length of stream positions `0..records.len()`.
+    records: VecDeque<(LogRecord, u64)>,
+    /// Framed bytes held in `records`.
+    bytes: u64,
+    /// Stream positions past the retained prefix (LSN only).
+    overflow: u64,
+    /// `orphan_lsn → ascending stream indices of the EOS records closing
+    /// it` — the scan sees every EOS anyway, so the cursor never has to
+    /// search for one.
+    eos: HashMap<u64, Vec<usize>>,
+}
+
+impl ReplayQueue {
+    /// A queue for a stream that restarts at the session checkpoint
+    /// `record` logged at `lsn`.
+    pub fn at_checkpoint(lsn: Lsn, record: LogRecord) -> ReplayQueue {
+        ReplayQueue {
+            checkpoint: Some((lsn, record)),
+            ..ReplayQueue::default()
+        }
+    }
+
+    /// Append the stream's next record. It is retained while the prefix
+    /// stays within `cap` framed bytes; from the first record that does
+    /// not fit, the stream keeps positions only.
+    pub fn push(&mut self, record: LogRecord, framed: u64, cap: u64) {
+        if let LogRecord::Eos { orphan_lsn, .. } = &record {
+            let index = self.records.len() + self.overflow as usize;
+            self.eos.entry(orphan_lsn.0).or_default().push(index);
+        }
+        if self.overflow == 0 && self.bytes + framed <= cap {
+            self.bytes += framed;
+            self.records.push_back((record, framed));
+        } else {
+            self.overflow += 1;
+        }
+    }
+
+    /// Framed bytes of the retained prefix.
+    pub fn retained_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Stream records that did not fit the retained prefix.
+    pub fn overflow_records(&self) -> u64 {
+        self.overflow
+    }
+
+    /// The retained checkpoint record, if it is the one logged at `lsn`.
+    pub fn take_checkpoint(&mut self, lsn: Lsn) -> Option<LogRecord> {
+        match self.checkpoint.take() {
+            Some((at, record)) if at == lsn => Some(record),
+            _ => None,
+        }
+    }
+}
 
 /// What [`ReplayCursor::consume`] produced.
 #[derive(Debug)]
@@ -57,14 +131,17 @@ pub enum Consume {
 pub struct ReplayCursor {
     positions: Vec<Lsn>,
     idx: usize,
+    /// Records the analysis scan retained for stream positions
+    /// `queue_base..`, popped as they are consumed.
+    queue: VecDeque<(LogRecord, u64)>,
+    queue_base: usize,
     /// Shared read-only block cache over the immutable crash-time log;
     /// when present, all replay reads below its limit are served from it
     /// instead of per-frame device reads.
     cache: Option<Arc<WalReplayCache>>,
-    /// `orphan_lsn → ascending stream indices of EOS records closing it`,
-    /// built in one pass over the stream on the first orphan hit so each
-    /// position-stream record is decoded at most once per recovery
-    /// (the naive forward search re-read the suffix on every orphan).
+    /// `orphan_lsn → ascending stream indices of EOS records closing it`.
+    /// Handed over by the analysis scan with the queue; a cursor without
+    /// one builds it in one pass over the stream on the first orphan hit.
     eos_index: Option<HashMap<u64, Vec<usize>>>,
     /// Replay has ended; execution continues live.
     pub went_live: bool,
@@ -80,6 +157,8 @@ impl ReplayCursor {
         ReplayCursor {
             positions,
             idx: 0,
+            queue: VecDeque::new(),
+            queue_base: 0,
             cache: None,
             eos_index: None,
             went_live: false,
@@ -94,6 +173,33 @@ impl ReplayCursor {
     pub fn with_cache(mut self, cache: Option<Arc<WalReplayCache>>) -> ReplayCursor {
         self.cache = cache;
         self
+    }
+
+    /// Serve the stream's prefix from what the analysis scan retained.
+    #[must_use]
+    pub fn with_queue(mut self, queue: ReplayQueue) -> ReplayCursor {
+        self.queue = queue.records;
+        self.eos_index = Some(queue.eos);
+        self
+    }
+
+    /// The record at the cursor: from the queue front when the scan
+    /// retained it, else read back (cache, then log). Retained records an
+    /// EOS jump skipped are dropped on the way.
+    fn next_sized(&mut self, log: &Wal, lsn: Lsn) -> MspResult<(LogRecord, u64)> {
+        let skipped = self
+            .idx
+            .saturating_sub(self.queue_base)
+            .min(self.queue.len());
+        self.queue.drain(..skipped);
+        self.queue_base += skipped;
+        if self.queue_base == self.idx {
+            if let Some(held) = self.queue.pop_front() {
+                self.queue_base += 1;
+                return Ok(held);
+            }
+        }
+        self.read_sized(log, lsn)
     }
 
     /// One record read, via the block cache when attached. The cache
@@ -131,7 +237,7 @@ impl ReplayCursor {
                 self.went_live = true;
                 return Ok(Consume::WentLive);
             };
-            let (record, framed) = self.read_sized(log, lsn)?;
+            let (record, framed) = self.next_sized(log, lsn)?;
 
             // EOS records reached directly are markers from earlier
             // recoveries whose orphan record should have redirected us;
@@ -196,7 +302,8 @@ impl ReplayCursor {
 
     /// Index (within `positions`) of the EOS record pointing back at
     /// `orphan_lsn`, ahead of the current position. Served from
-    /// [`Self::eos_index`], built lazily with a single decode pass.
+    /// [`Self::eos_index`]; without one from the scan (live orphan
+    /// recovery, the serial baseline) it is built with one decode pass.
     fn find_eos(&mut self, log: &Wal, orphan_lsn: Lsn) -> MspResult<Option<usize>> {
         if self.eos_index.is_none() {
             let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -432,10 +539,10 @@ mod tests {
         log.close();
     }
 
-    #[test]
-    fn eos_lookup_decodes_each_position_at_most_once() {
-        // Two disjoint orphan/EOS pairs: the naive forward search decoded
-        // the stream suffix once per orphan; the index pays one pass.
+    /// Two disjoint orphan/EOS pairs and a live tail, with the knowledge
+    /// that orphans both: `(log, knowledge, [orphan1, eos1, orphan2,
+    /// eos2, live])`.
+    fn two_skip_ranges() -> (Arc<Wal>, RecoveryKnowledge, Vec<Lsn>) {
         let log = test_log();
         let orphan1 = log.append(&req(0, Some(dv(2, 100))));
         let eos1 = log.append(&LogRecord::Eos {
@@ -449,31 +556,92 @@ mod tests {
         });
         let live = log.append(&req(2, None));
         let mut k = RecoveryKnowledge::new();
-        k.record(RecoveryRecord {
-            msp: MspId(2),
-            new_epoch: Epoch(1),
-            recovered_lsn: Lsn(50),
-        });
-        k.record(RecoveryRecord {
-            msp: MspId(3),
-            new_epoch: Epoch(1),
-            recovered_lsn: Lsn(50),
-        });
-        let positions = vec![orphan1, eos1, orphan2, eos2, live];
+        for msp in [2, 3] {
+            k.record(RecoveryRecord {
+                msp: MspId(msp),
+                new_epoch: Epoch(1),
+                recovered_lsn: Lsn(50),
+            });
+        }
+        (log, k, vec![orphan1, eos1, orphan2, eos2, live])
+    }
+
+    /// What the analysis scan would hand over for `positions`.
+    fn scanned(log: &Wal, positions: &[Lsn], cap: u64) -> ReplayQueue {
+        let mut queue = ReplayQueue::default();
+        for &lsn in positions {
+            let (record, framed) = log.read_record_sized(lsn).unwrap();
+            queue.push(record, framed, cap);
+        }
+        queue
+    }
+
+    #[test]
+    fn eos_lookup_decodes_each_position_at_most_once() {
+        // The scan records where the EOS records are, so an orphan hit
+        // costs no search: with nothing retained (cap 0) every stream
+        // position is read back at most once, however many skip ranges
+        // the stream contains.
+        let (log, k, positions) = two_skip_ranges();
         let n = positions.len() as u64;
+        let queue = scanned(&log, &positions, 0);
+        assert_eq!(queue.overflow_records(), n);
         let before = log.stats().record_reads;
-        let mut cur = ReplayCursor::new(positions);
+        let mut cur = ReplayCursor::new(positions).with_queue(queue);
         while let Consume::Record { .. } = cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap() {}
         let reads = log.stats().record_reads - before;
         assert_eq!(cur.eos_ranges_skipped, 2);
-        // One decode per consumed record plus one indexing pass: strictly
-        // at most two decodes per stream position, independent of how
-        // many orphan ranges the stream contains.
         assert!(
-            reads <= 2 * n,
-            "expected at most {} record reads, observed {reads}",
-            2 * n
+            reads <= n,
+            "expected at most {n} record reads, observed {reads}"
         );
+        log.close();
+    }
+
+    #[test]
+    fn retained_queue_serves_replay_without_log_reads() {
+        let (log, k, positions) = two_skip_ranges();
+        let live = *positions.last().unwrap();
+        let queue = scanned(&log, &positions, u64::MAX);
+        assert_eq!(queue.overflow_records(), 0);
+        assert!(queue.retained_bytes() > 0);
+        let before = log.stats().record_reads;
+        let mut cur = ReplayCursor::new(positions).with_queue(queue);
+        assert!(matches!(
+            cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap(),
+            Consume::Record { lsn, .. } if lsn == live
+        ));
+        assert!(matches!(
+            cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap(),
+            Consume::WentLive
+        ));
+        assert_eq!(cur.eos_ranges_skipped, 2);
+        assert_eq!(log.stats().record_reads, before, "all from the queue");
+        log.close();
+    }
+
+    #[test]
+    fn window_past_the_cap_reads_its_tail_from_the_log() {
+        let log = test_log();
+        let positions: Vec<Lsn> = (0..6).map(|i| log.append(&req(i, None))).collect();
+        let (_, framed) = log.read_record_sized(positions[0]).unwrap();
+        // Room for exactly two records; a prefix never resumes once cut.
+        let queue = scanned(&log, &positions, 2 * framed);
+        assert_eq!(queue.retained_bytes(), 2 * framed);
+        assert_eq!(queue.overflow_records(), 4);
+        let k = RecoveryKnowledge::new();
+        let before = log.stats().record_reads;
+        let mut cur = ReplayCursor::new(positions.clone()).with_queue(queue);
+        let got: Vec<Lsn> =
+            std::iter::from_fn(
+                || match cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap() {
+                    Consume::Record { lsn, .. } => Some(lsn),
+                    Consume::WentLive => None,
+                },
+            )
+            .collect();
+        assert_eq!(got, positions);
+        assert_eq!(log.stats().record_reads - before, 4, "the tail only");
         log.close();
     }
 

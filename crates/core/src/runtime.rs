@@ -321,6 +321,19 @@ pub struct RuntimeStats {
     pub recovery_replay_nanos: AtomicU64,
     /// Sessions replayed by the dedicated recovery pool.
     pub recovery_pool_sessions: AtomicU64,
+    /// Sessions the recovery pool could not replay because the log was
+    /// unreadable or replay diverged from it (`LogCorrupt`, `Codec`,
+    /// `Io`); they stay marked `needs_recovery`. Transient failures — the
+    /// MSP dying mid-replay, a peer's crash orphaning the live
+    /// continuation — are retried by the session's next request and not
+    /// counted. Non-zero means damaged media or a bug.
+    pub recovery_pool_failures: AtomicU64,
+    /// Framed log bytes the last crash recovery's analysis scan retained
+    /// in per-session replay queues.
+    pub recovery_retained_bytes: AtomicU64,
+    /// Session-stream records of the last crash recovery that did not fit
+    /// a queue's retained prefix and were read back through the pool.
+    pub recovery_overflow_records: AtomicU64,
 }
 
 /// Snapshot of [`RuntimeStats`].
@@ -351,6 +364,9 @@ pub struct RuntimeStatsSnapshot {
     pub recovery_checkpoint_nanos: u64,
     pub recovery_replay_nanos: u64,
     pub recovery_pool_sessions: u64,
+    pub recovery_pool_failures: u64,
+    pub recovery_retained_bytes: u64,
+    pub recovery_overflow_records: u64,
 }
 
 impl RuntimeStats {
@@ -381,6 +397,9 @@ impl RuntimeStats {
             recovery_checkpoint_nanos: self.recovery_checkpoint_nanos.load(Ordering::Relaxed),
             recovery_replay_nanos: self.recovery_replay_nanos.load(Ordering::Relaxed),
             recovery_pool_sessions: self.recovery_pool_sessions.load(Ordering::Relaxed),
+            recovery_pool_failures: self.recovery_pool_failures.load(Ordering::Relaxed),
+            recovery_retained_bytes: self.recovery_retained_bytes.load(Ordering::Relaxed),
+            recovery_overflow_records: self.recovery_overflow_records.load(Ordering::Relaxed),
         }
     }
 }
@@ -1640,7 +1659,8 @@ impl MspInner {
 
     /// Dedicated crash-recovery replay pool (Figure 12): drain `sessions`
     /// (already ordered longest-window-first, or by id under
-    /// `serial_recovery`) across `recovery_threads` threads, then publish
+    /// `serial_recovery`) across `recovery_threads` threads, each session
+    /// replaying from the queue the analysis scan left it, then publish
     /// the replay makespan and drop the shared block cache. Runs apart
     /// from the live worker pool so replay never starves sessions arriving
     /// mid-recovery.
@@ -1652,47 +1672,12 @@ impl MspInner {
             self.cfg.recovery_threads.max(1)
         }
         .min(sessions.len().max(1));
-        let cache = self.replay_cache.lock().clone();
-        let prefetch_order: Vec<SessionId> = if self.cfg.recovery_prefetch && cache.is_some() {
-            sessions.iter().map(|&(sid, _)| sid).collect()
-        } else {
-            Vec::new()
-        };
         let (tx, rx) = crossbeam_channel::unbounded::<SessionId>();
         for (sid, _) in sessions {
             let _ = tx.send(sid);
         }
         drop(tx);
         std::thread::scope(|scope| {
-            // Prefetcher: walk the same longest-first schedule ahead of
-            // the workers, pulling each pending session's replay window
-            // into the buffer pool so the replaying thread finds its
-            // blocks resident. Charges the disk model on its own thread —
-            // genuine I/O overlap in simulated time. Sessions a worker
-            // already holds (state lock taken) are skipped: prefetching
-            // behind the replay cursor is wasted I/O.
-            if let (false, Some(cache)) = (prefetch_order.is_empty(), cache.clone()) {
-                let me = &self;
-                scope.spawn(move || {
-                    for sid in prefetch_order {
-                        if me.stopped() {
-                            break;
-                        }
-                        let Some(cell) = me.session(sid) else {
-                            continue;
-                        };
-                        let positions: Vec<msp_types::Lsn> = match cell.state.try_lock() {
-                            Some(st) if st.needs_recovery && !st.ended => {
-                                st.positions.iter().collect()
-                            }
-                            _ => continue,
-                        };
-                        if cache.prefetch_positions(&positions).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
             for _ in 0..threads {
                 let rx = rx.clone();
                 let me = &self;
@@ -1707,14 +1692,18 @@ impl MspInner {
                         let mut st = cell.state.lock();
                         // A request that arrived before this pool got here
                         // may have recovered the session inline already.
-                        if !st.ended
-                            && st.needs_recovery
-                            && me.recover_session_locked(&cell, &mut st).is_ok()
-                        {
-                            me.stats
-                                .recovery_pool_sessions
-                                .fetch_add(1, Ordering::Relaxed);
+                        if st.ended || !st.needs_recovery {
+                            continue;
                         }
+                        let counter = match me.recover_session_locked(&cell, &mut st) {
+                            Ok(()) => &me.stats.recovery_pool_sessions,
+                            Err(
+                                MspError::LogCorrupt { .. } | MspError::Codec(_) | MspError::Io(_),
+                            ) => &me.stats.recovery_pool_failures,
+                            // Transient: the session's next request retries.
+                            Err(_) => continue,
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
@@ -2221,23 +2210,22 @@ impl MspBuilder {
         }
 
         // Post-recovery protocol: broadcast the recovered state number in
-        // the domain, take a fresh MSP checkpoint, then replay sessions on
-        // the dedicated recovery pool (Figure 12) — new sessions are
-        // accepted concurrently on the untouched worker pool.
+        // the domain, start replaying sessions on the dedicated recovery
+        // pool (Figure 12) and take a fresh MSP checkpoint — new sessions
+        // are accepted concurrently on the untouched worker pool.
         if let Some(mut outcome) = recovery_outcome {
             if let Some(rec) = outcome.announce {
                 for peer in inner.cluster.domain_members(inner.cfg.domain, inner.cfg.id) {
                     inner.send(EndpointId::Msp(peer), Envelope::Recovery(rec));
                 }
-                // Overlapped recovery starts the replay pool *before* the
-                // post-recovery MSP checkpoint (whose distributed flush,
-                // anchor write and truncation are pure wall-clock from the
-                // sessions' point of view); the checkpoint is fuzzy by
-                // design and routinely runs concurrently with live
-                // traffic, so running it under replay changes nothing it
-                // must tolerate. The serial baseline keeps the strict
+                // The replay pool starts *before* the post-recovery MSP
+                // checkpoint (whose distributed flush, anchor write and
+                // truncation are pure wall-clock from the sessions' point
+                // of view); the checkpoint is fuzzy by design and
+                // routinely runs concurrently with live traffic, so
+                // running it under replay changes nothing it must
+                // tolerate. The serial baseline keeps the strict
                 // scan → checkpoint → replay order.
-                let overlapped = inner.cfg.overlapped_recovery && !inner.cfg.serial_recovery;
                 let mut spawn_pool =
                     |threads: &mut Vec<std::thread::JoinHandle<()>>| -> MspResult<()> {
                         if outcome.sessions_to_replay.is_empty() {
@@ -2254,7 +2242,7 @@ impl MspBuilder {
                         );
                         Ok(())
                     };
-                if overlapped {
+                if !inner.cfg.serial_recovery {
                     spawn_pool(&mut threads)?;
                 }
                 let t_ckpt = std::time::Instant::now();
@@ -2263,7 +2251,7 @@ impl MspBuilder {
                     .stats
                     .recovery_checkpoint_nanos
                     .store(t_ckpt.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                if !overlapped {
+                if inner.cfg.serial_recovery {
                     spawn_pool(&mut threads)?;
                 }
             }

@@ -18,6 +18,7 @@ use msp_wal::record::SessionCheckpointBody;
 use msp_wal::PositionStream;
 
 use crate::envelope::ReplyStatus;
+use crate::replay::ReplayQueue;
 
 /// An outgoing session this session has started at another MSP (§2.1,
 /// Figure 3: `SEc` is the client of `SEs`). `next_seq` only advances
@@ -62,6 +63,11 @@ pub struct SessionState {
     pub needs_recovery: bool,
     /// The session observed its own end (SessionEnd logged).
     pub ended: bool,
+    /// The records the crash-recovery analysis scan retained for this
+    /// session's replay; taken by whichever thread recovers the session.
+    /// Boxed: a live session carries the empty slot for the rest of its
+    /// life.
+    pub replay_queue: Option<Box<ReplayQueue>>,
 }
 
 impl SessionState {
@@ -139,6 +145,7 @@ impl SessionState {
             first_lsn: Some(ckpt_lsn),
             needs_recovery: false,
             ended: false,
+            replay_queue: None,
         }
     }
 

@@ -391,6 +391,16 @@ pub struct TortureReport {
     /// included; earlier incarnations' counters die with their rebuild,
     /// like the truncation numbers above).
     pub pool: msp_wal::PoolStatsSnapshot,
+    /// Sessions the final incarnations' recovery pools could not replay
+    /// from the log. Those incarnations recovered with no fault armed
+    /// (every injected crash ends in a kill and a clean restart), so the
+    /// oracle fails the run when this is non-zero.
+    pub recovery_pool_failures: u64,
+    /// Log bytes the final incarnations' analysis scans retained in
+    /// per-session replay queues, and the stream records that did not
+    /// fit one and were read back through the pool.
+    pub recovery_retained_bytes: u64,
+    pub recovery_overflow_records: u64,
     /// Post-mortem audits (MSP1 then MSP2) on log-based configs.
     pub audits: Vec<LogAudit>,
 }
@@ -438,6 +448,13 @@ impl std::fmt::Display for TortureReport {
                 self.pool.pool_misses,
                 self.pool.pool_evictions,
                 self.pool.pool_prefetch_hits
+            )?;
+        }
+        if self.recovery_retained_bytes + self.recovery_overflow_records > 0 {
+            write!(
+                f,
+                " replay_queue={}B/{}over",
+                self.recovery_retained_bytes, self.recovery_overflow_records
             )?;
         }
         Ok(())
@@ -503,9 +520,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         // The adaptive shape is the only schedule knob outside
         // `Schedule::generate`: same draws as Default, different log diet.
         adaptive_logging: opts.shape == WorkloadShape::AdaptiveOps,
-        replacement_policy: msp_wal::ReplacementPolicy::default(),
-        overlapped_recovery: true,
-        recovery_prefetch: true,
     });
 
     let (res_tx, res_rx) = crossbeam_channel::unbounded::<Result<u64, String>>();
@@ -822,6 +836,9 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
     let mut bytes_reclaimed = 0u64;
     let mut checkpoints_scheduled = 0u64;
     let mut pool = msp_wal::PoolStatsSnapshot::default();
+    let mut recovery_pool_failures = 0u64;
+    let mut recovery_retained_bytes = 0u64;
+    let mut recovery_overflow_records = 0u64;
     if opts.config.is_log_based() {
         for slot in [&world.msp1, &world.msp2] {
             if let Some(ls) = slot.log_stats() {
@@ -830,6 +847,9 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
             }
             if let Some(st) = slot.stats() {
                 checkpoints_scheduled += st.checkpoints_scheduled;
+                recovery_pool_failures += st.recovery_pool_failures;
+                recovery_retained_bytes += st.recovery_retained_bytes;
+                recovery_overflow_records += st.recovery_overflow_records;
             }
             pool = pool.merge(&slot.pool_stats());
         }
@@ -855,8 +875,24 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                     ps.pool_prefetch_hits,
                     ps.pool_prefetched_blocks,
                 );
+                if let Some(st) = slot.stats() {
+                    eprintln!(
+                        "[trace] {who} recovery pool_sessions={} pool_failures={} \
+                         retained_bytes={} overflow_records={}",
+                        st.recovery_pool_sessions,
+                        st.recovery_pool_failures,
+                        st.recovery_retained_bytes,
+                        st.recovery_overflow_records,
+                    );
+                }
             }
         }
+    }
+    if recovery_pool_failures > 0 {
+        return Err(format!(
+            "{tag}: {recovery_pool_failures} session(s) could not be replayed from \
+             the log by a clean recovery (left needs_recovery)"
+        ));
     }
 
     // Post-mortem: shut the world down cleanly, then re-open the final
@@ -901,6 +937,9 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         bytes_reclaimed,
         checkpoints_scheduled,
         pool,
+        recovery_pool_failures,
+        recovery_retained_bytes,
+        recovery_overflow_records,
         audits,
     })
 }
@@ -1069,9 +1108,6 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         runtime_shards: if opts.striped { 2 } else { 1 },
         checkpoint_interval_bytes: opts.checkpoint_interval_bytes,
         adaptive_logging: false,
-        replacement_policy: msp_wal::ReplacementPolicy::default(),
-        overlapped_recovery: true,
-        recovery_prefetch: true,
     });
 
     let trace = std::env::var_os("TORTURE_TRACE").is_some();
@@ -1262,6 +1298,13 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         }
         if let Some(st) = slot.stats() {
             checkpoints_scheduled += st.checkpoints_scheduled;
+            if st.recovery_pool_failures > 0 {
+                return Err(format!(
+                    "{tag}: {} session(s) could not be replayed from the log \
+                     (left needs_recovery)",
+                    st.recovery_pool_failures
+                ));
+            }
         }
     }
     let disks = [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())];

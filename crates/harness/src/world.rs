@@ -135,13 +135,6 @@ pub struct WorldOptions {
     /// diet. Off, the workload uses the classic value-logged
     /// `update_shared` path (byte-identical logs to the pre-diet rig).
     pub adaptive_logging: bool,
-    /// Replacement policy of the process-wide recovery buffer pool.
-    pub replacement_policy: msp_wal::ReplacementPolicy,
-    /// Overlap recovery phases: warm the pool from the analysis scan and
-    /// start replay before the recovery checkpoint (the default).
-    pub overlapped_recovery: bool,
-    /// Run the longest-first schedule prefetcher during pool recovery.
-    pub recovery_prefetch: bool,
 }
 
 impl WorldOptions {
@@ -163,9 +156,6 @@ impl WorldOptions {
             runtime_shards: 1,
             checkpoint_interval_bytes: 0,
             adaptive_logging: false,
-            replacement_policy: msp_wal::ReplacementPolicy::default(),
-            overlapped_recovery: true,
-            recovery_prefetch: true,
         }
     }
 }
@@ -465,10 +455,7 @@ impl World {
                 .with_blocking_send_durability(opts.blocking_send_durability)
                 .with_log_stripes(opts.log_stripes)
                 .with_runtime_shards(opts.runtime_shards)
-                .with_adaptive_logging(opts.adaptive_logging)
-                .with_replacement_policy(opts.replacement_policy)
-                .with_overlapped_recovery(opts.overlapped_recovery)
-                .with_recovery_prefetch(opts.recovery_prefetch);
+                .with_adaptive_logging(opts.adaptive_logging);
             c.rpc_timeout = Duration::from_millis(15);
             c.flush_retry_limit = 2_000;
             c

@@ -12,8 +12,8 @@
 //! PR 3 gave each recovery its own fixed clock pool; the slots now live
 //! in a shared [`BufferPool`] (one per process when runtimes are
 //! co-located) and a `ReplayCache` is one registered *source* in it: a
-//! thin view binding a pool source id to one physical log. Eviction
-//! policy is the pool's ([`ReplacementPolicy`]); blocks are handed out as
+//! thin view binding a pool source id to one physical log. Eviction is
+//! the pool's second-chance clock; blocks are handed out as
 //! `Arc<Vec<u8>>` so a lookup clones the Arc and drops the bookkeeping
 //! lock before any byte is copied; concurrent misses on the same block
 //! may both read the device (both are counted — that is real I/O).
@@ -35,7 +35,7 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::log::{PhysicalLog, FRAME_HEADER, FRAME_MAGIC, MAX_RECORD, SCAN_CHUNK};
 use crate::model::DiskModel;
-use crate::pool::{BufferPool, ReplacementPolicy, ScanFeed};
+use crate::pool::BufferPool;
 use crate::record::LogRecord;
 
 /// Replay view over one physical log: a registered source in a (possibly
@@ -57,12 +57,9 @@ pub struct ReplayCache {
 
 impl ReplayCache {
     /// Build a private cache of `blocks` 64 KB slots over `log`'s current
-    /// durable prefix (clock replacement — the PR 3 behaviour).
+    /// durable prefix.
     pub fn new(log: &Arc<PhysicalLog>, blocks: usize) -> ReplayCache {
-        ReplayCache::with_pool(
-            log,
-            &Arc::new(BufferPool::new(blocks, ReplacementPolicy::Clock)),
-        )
+        ReplayCache::with_pool(log, &Arc::new(BufferPool::new(blocks)))
     }
 
     /// A view over `log` borrowing slots from a shared `pool`.
@@ -87,36 +84,6 @@ impl ReplayCache {
     /// The backing pool.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// Feed handle for this view's source: the analysis scan pushes the
-    /// chunks it reads here so replay finds them resident.
-    pub fn feed(&self) -> ScanFeed {
-        ScanFeed::new(&self.pool, self.source)
-    }
-
-    /// Pull the blocks containing `positions` into the pool ahead of a
-    /// replaying worker (one charged sequential read per absent block;
-    /// resident blocks cost nothing and are not promoted).
-    pub fn prefetch_positions(&self, positions: &[Lsn]) -> Result<(), MspError> {
-        let mut blocks: Vec<u64> = positions
-            .iter()
-            .filter(|l| l.0 < self.limit)
-            .map(|l| l.0 / SCAN_CHUNK as u64)
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        for block_no in blocks {
-            self.pool.prefetch_with(self.source, block_no, || {
-                self.model.charge_read(128);
-                let off = block_no * SCAN_CHUNK as u64;
-                let mut data = vec![0u8; SCAN_CHUNK];
-                let n = self.disk.read(off, &mut data).map_err(MspError::Io)?;
-                data.truncate(n);
-                Ok(data)
-            })?;
-        }
-        Ok(())
     }
 
     /// Fetch the 64 KB block containing `offset`, from the pool or the
@@ -344,7 +311,7 @@ mod tests {
     fn shared_pool_serves_two_logs_without_aliasing() {
         let (log_a, lsns_a) = logged(4, 100);
         let (log_b, lsns_b) = logged(4, 100);
-        let pool = Arc::new(BufferPool::new(4, ReplacementPolicy::Lru));
+        let pool = Arc::new(BufferPool::new(4));
         let a = ReplayCache::with_pool(&log_a, &pool);
         let b = ReplayCache::with_pool(&log_b, &pool);
         // Identical LSNs on both logs: the source id keys them apart.
@@ -360,38 +327,6 @@ mod tests {
         assert_eq!(pool.stats().pool_misses, before);
         log_a.close();
         log_b.close();
-    }
-
-    #[test]
-    fn prefetched_positions_serve_replay_without_demand_misses() {
-        let (log, lsns) = logged(10, 100);
-        let cache = ReplayCache::new(&log, 4);
-        cache.prefetch_positions(&lsns).unwrap();
-        for (i, &lsn) in lsns.iter().enumerate() {
-            assert_eq!(cache.read_record(lsn).unwrap(), rec(1, i as u64, 100));
-        }
-        let s = log.stats();
-        assert_eq!(s.replay_cache_misses, 0, "prefetch covered the window");
-        let p = cache.pool().stats();
-        assert_eq!(p.pool_prefetched_blocks, 1);
-        assert_eq!(p.pool_prefetch_hits, 1);
-        log.close();
-    }
-
-    #[test]
-    fn scan_feed_warms_the_pool() {
-        let (log, lsns) = logged(10, 100);
-        let cache = ReplayCache::new(&log, 4);
-        // Simulate the analysis scan handing over its first chunk.
-        let mut chunk = vec![0u8; SCAN_CHUNK];
-        let n = log.disk().read(0, &mut chunk).unwrap();
-        chunk.truncate(n);
-        cache.feed().insert(0, chunk);
-        for &lsn in &lsns {
-            let _ = cache.read_record(lsn).unwrap();
-        }
-        assert_eq!(log.stats().replay_cache_misses, 0);
-        log.close();
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * [`log`] — the physical log itself: buffered appends, sector-aligned
 //!   flushes, group commit with optional *batch flushing* (§5.5), random
 //!   record reads and the crash-recovery scanner.
-//! * [`pool`] — the process-wide buffer pool of 64 KB log blocks with
-//!   pluggable replacement (clock / LRU / SIEVE) and prefetch tracking.
+//! * [`pool`] — the process-wide buffer pool of 64 KB log blocks
+//!   (second-chance clock replacement).
 //! * [`cache`] — the replay read view: one registered pool source bound
 //!   to one physical log, shared by all concurrently replaying sessions.
 //! * [`anchor`] — the ARIES-style log anchor holding the LSN of the most
@@ -47,7 +47,7 @@ pub use disk::{Disk, FileDisk, MemDisk};
 pub use fault::{CrashPoint, FaultPlan};
 pub use log::{FlushPolicy, FlushTicket, LogScanner, PhysicalLog, SECTOR_SIZE};
 pub use model::DiskModel;
-pub use pool::{BufferPool, PoolStatsSnapshot, ReplacementPolicy, ScanFeed};
+pub use pool::{BufferPool, PoolStatsSnapshot};
 pub use position::PositionStream;
 pub use record::{LogRecord, MspCheckpointBody, SessionCheckpointBody};
 pub use stats::LogStats;

@@ -46,7 +46,6 @@ use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::fault::{CrashPoint, FaultPlan};
 use crate::model::DiskModel;
-use crate::pool::ScanFeed;
 use crate::record::LogRecord;
 use crate::stats::{LogStats, LogStatsSnapshot};
 use crate::tail::ReservedTail;
@@ -796,24 +795,7 @@ impl PhysicalLog {
     /// serial scanner if the prefetch thread cannot be spawned.
     pub fn scan_from_pipelined(self: &Arc<Self>, from: Lsn) -> LogScanner<'_> {
         let start = self.clamp_scan_start(from);
-        match Prefetcher::spawn(Arc::clone(self), start, None) {
-            Ok(pf) => LogScanner {
-                raw: RawScanner::with_prefetch(self.disk.clone(), start, Some(&self.stats), pf),
-            },
-            Err(_) => self.scan_from(from),
-        }
-    }
-
-    /// Like [`scan_from_pipelined`](Self::scan_from_pipelined), with the
-    /// I/O stage additionally pushing each block-aligned chunk it reads
-    /// into a replay buffer pool (the overlapped-recovery warm-in: the
-    /// analysis scan pays for the region once and replay finds it
-    /// resident). The prefetch reads are aligned down to the 64 KB block
-    /// grid so the fed chunks land on pool block boundaries; the decode
-    /// stage still starts at `from`.
-    pub fn scan_from_pipelined_fed(self: &Arc<Self>, from: Lsn, feed: ScanFeed) -> LogScanner<'_> {
-        let start = self.clamp_scan_start(from);
-        match Prefetcher::spawn(Arc::clone(self), start, Some(feed)) {
+        match Prefetcher::spawn(Arc::clone(self), start) {
             Ok(pf) => LogScanner {
                 raw: RawScanner::with_prefetch(self.disk.clone(), start, Some(&self.stats), pf),
             },
@@ -1253,11 +1235,7 @@ struct Prefetcher {
 }
 
 impl Prefetcher {
-    fn spawn(
-        log: Arc<PhysicalLog>,
-        from: u64,
-        feed: Option<ScanFeed>,
-    ) -> std::io::Result<Prefetcher> {
+    fn spawn(log: Arc<PhysicalLog>, from: u64) -> std::io::Result<Prefetcher> {
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = crossbeam_channel::bounded::<(u64, Vec<u8>)>(PREFETCH_DEPTH);
         let flag = Arc::clone(&stop);
@@ -1267,16 +1245,7 @@ impl Prefetcher {
                 // The device length is fixed for the duration of a
                 // recovery scan (recovery appends only after analysis).
                 let limit = log.disk.len();
-                // When feeding a buffer pool, align the reads down to the
-                // block grid: every chunk then covers exactly one pool
-                // block (the decode stage tolerates a chunk starting
-                // before its read position). Costs at most one extra
-                // chunk over the unaligned walk.
-                let mut off = if feed.is_some() {
-                    from - from % SCAN_CHUNK as u64
-                } else {
-                    from
-                };
+                let mut off = from;
                 while off < limit && !flag.load(Ordering::Relaxed) {
                     let mut chunk = vec![0u8; SCAN_CHUNK];
                     let n = match log.disk.read(off, &mut chunk) {
@@ -1290,11 +1259,6 @@ impl Prefetcher {
                     log.model.charge_read(128);
                     log.stats.on_prefetch_chunk();
                     log.stats.on_scan_chunk();
-                    if let Some(feed) = &feed {
-                        if off % SCAN_CHUNK as u64 == 0 {
-                            feed.insert(off / SCAN_CHUNK as u64, chunk.clone());
-                        }
-                    }
                     if tx.send((off, chunk)).is_err() {
                         break; // decode stage gone: scan ended early
                     }

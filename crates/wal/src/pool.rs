@@ -10,25 +10,12 @@
 //! a shard that finishes recovery early returns its memory to the shard
 //! still replaying, and the whole pool is observable as one stats block.
 //!
-//! Replacement is pluggable ([`ReplacementPolicy`]):
-//!
-//! - **Clock** — second-chance, the PR 3 behaviour and the default. One
-//!   reference bit per slot, a hand that clears bits until it finds a
-//!   cold slot. Cheap, scan-resistant enough for replay's mostly
-//!   sequential block walk.
-//! - **LRU** — exact least-recently-used via a recency stamp per slot.
-//!   Best hit rate when replay windows re-walk the same few blocks
-//!   (heavily checkpointed sessions), at the cost of a victim scan.
-//! - **SIEVE** — a FIFO queue with one visited bit and a hand that
-//!   moves from the oldest entry toward the newest, evicting the first
-//!   unvisited entry; new blocks enter unvisited at the newest end.
-//!   Keeps one-touch scan blocks from displacing re-referenced ones
-//!   without any promotion bookkeeping on hits.
-//!
-//! Prefetched blocks ([`BufferPool::insert_prefetched`] /
-//! [`BufferPool::prefetch_with`]) are tagged so the pool can report how
-//! many prefetches were actually consumed by a demand read
-//! (`pool_prefetch_hits`) versus merely loaded.
+//! Replacement is second-chance clock: one reference bit per slot, a
+//! hand that clears bits until it finds a cold slot. Crash recovery
+//! replays from the records its analysis scan retained, so the pool
+//! serves only the tail of a replay window longer than a session's
+//! retained queue — a mostly sequential block walk, which is what clock
+//! is cheap and good enough for.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -38,50 +25,13 @@ use parking_lot::Mutex;
 
 use msp_types::MspError;
 
-/// Which block the pool sacrifices when it is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementPolicy {
-    /// Second-chance clock (the PR 3 replay-cache behaviour).
-    #[default]
-    Clock,
-    /// Exact least-recently-used.
-    Lru,
-    /// SIEVE: FIFO order, one visited bit, hand from oldest to newest.
-    Sieve,
-}
-
-impl ReplacementPolicy {
-    /// Canonical lower-case name (config/report surface).
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplacementPolicy::Clock => "clock",
-            ReplacementPolicy::Lru => "lru",
-            ReplacementPolicy::Sieve => "sieve",
-        }
-    }
-
-    /// Parse a config-knob string; `None` for unknown names.
-    pub fn parse(s: &str) -> Option<ReplacementPolicy> {
-        match s {
-            "clock" => Some(ReplacementPolicy::Clock),
-            "lru" => Some(ReplacementPolicy::Lru),
-            "sieve" => Some(ReplacementPolicy::Sieve),
-            _ => None,
-        }
-    }
-}
-
 /// One pooled block.
 struct Slot {
     /// `(source, block_no)` owner, `None` while the slot is free.
     key: Option<(u32, u64)>,
     data: Arc<Vec<u8>>,
-    /// Clock reference bit / SIEVE visited bit: set on demand hit.
+    /// Clock reference bit: set on install and on every demand hit.
     referenced: bool,
-    /// LRU recency stamp (global tick at last touch).
-    stamp: u64,
-    /// Loaded by a prefetcher and not yet claimed by a demand read.
-    prefetched: bool,
 }
 
 impl Slot {
@@ -90,8 +40,6 @@ impl Slot {
             key: None,
             data: Arc::new(Vec::new()),
             referenced: false,
-            stamp: 0,
-            prefetched: false,
         }
     }
 }
@@ -104,13 +52,6 @@ struct PoolInner {
     free: Vec<usize>,
     /// Clock hand over `slots`.
     hand: usize,
-    /// LRU tick source.
-    tick: u64,
-    /// Occupied slots in insertion order, oldest first (SIEVE queue; also
-    /// kept for Clock/LRU so retirement bookkeeping is policy-agnostic).
-    order: Vec<usize>,
-    /// SIEVE hand: index into `order`, sweeping oldest → newest.
-    sieve_hand: usize,
 }
 
 /// Monotone pool counters.
@@ -119,8 +60,6 @@ struct PoolStats {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetched_blocks: AtomicU64,
 }
 
 /// Point-in-time copy of the pool counters.
@@ -132,9 +71,11 @@ pub struct PoolStatsSnapshot {
     pub pool_misses: u64,
     /// Occupied blocks displaced to make room.
     pub pool_evictions: u64,
-    /// Demand hits whose block was loaded by a prefetcher.
+    /// Demand hits whose block was loaded by a prefetcher. Nothing
+    /// prefetches into the pool any more; kept (reading 0) for the
+    /// consumers of this snapshot.
     pub pool_prefetch_hits: u64,
-    /// Blocks loaded by prefetch (scan feed or schedule walk).
+    /// Blocks loaded by prefetch; reads 0, see `pool_prefetch_hits`.
     pub pool_prefetched_blocks: u64,
 }
 
@@ -172,8 +113,6 @@ impl PoolStatsSnapshot {
 pub struct PoolReadOutcome {
     /// Served from a resident block without touching the device.
     pub hit: bool,
-    /// The resident block had been loaded by a prefetcher.
-    pub prefetch_hit: bool,
     /// Installing the block displaced another occupied slot.
     pub evicted: bool,
 }
@@ -181,7 +120,6 @@ pub struct PoolReadOutcome {
 /// Fixed-size, process-wide pool of 64 KB log blocks shared by every
 /// registered consumer. See the module docs.
 pub struct BufferPool {
-    policy: ReplacementPolicy,
     inner: Mutex<PoolInner>,
     stats: PoolStats,
     next_source: AtomicU32,
@@ -189,19 +127,15 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// A pool of `blocks` slots (clamped to at least 1).
-    pub fn new(blocks: usize, policy: ReplacementPolicy) -> BufferPool {
+    pub fn new(blocks: usize) -> BufferPool {
         let blocks = blocks.max(1);
         let slots = (0..blocks).map(|_| Slot::empty()).collect();
         BufferPool {
-            policy,
             inner: Mutex::new(PoolInner {
                 map: HashMap::new(),
                 slots,
                 free: (0..blocks).rev().collect(),
                 hand: 0,
-                tick: 0,
-                order: Vec::with_capacity(blocks),
-                sieve_hand: 0,
             }),
             stats: PoolStats::default(),
             next_source: AtomicU32::new(0),
@@ -227,7 +161,6 @@ impl BufferPool {
         for key in keys {
             let slot = inner.map.remove(&key).expect("key just listed");
             inner.slots[slot] = Slot::empty();
-            Self::unlink(&mut inner, slot);
             inner.free.push(slot);
         }
     }
@@ -237,19 +170,13 @@ impl BufferPool {
         self.inner.lock().slots.len()
     }
 
-    /// The configured replacement policy.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
-    }
-
     /// Point-in-time counters.
     pub fn stats(&self) -> PoolStatsSnapshot {
         PoolStatsSnapshot {
             pool_hits: self.stats.hits.load(Ordering::Relaxed),
             pool_misses: self.stats.misses.load(Ordering::Relaxed),
             pool_evictions: self.stats.evictions.load(Ordering::Relaxed),
-            pool_prefetch_hits: self.stats.prefetch_hits.load(Ordering::Relaxed),
-            pool_prefetched_blocks: self.stats.prefetched_blocks.load(Ordering::Relaxed),
+            ..PoolStatsSnapshot::default()
         }
     }
 
@@ -271,16 +198,12 @@ impl BufferPool {
         {
             let mut inner = self.inner.lock();
             if let Some(&slot) = inner.map.get(&key) {
-                let prefetch_hit = Self::touch(&mut inner, slot);
+                inner.slots[slot].referenced = true;
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                if prefetch_hit {
-                    self.stats.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                }
                 return Ok((
                     Arc::clone(&inner.slots[slot].data),
                     PoolReadOutcome {
                         hit: true,
-                        prefetch_hit,
                         evicted: false,
                     },
                 ));
@@ -293,183 +216,54 @@ impl BufferPool {
         let data = Arc::new(fetch()?);
         let mut inner = self.inner.lock();
         if let Some(&slot) = inner.map.get(&key) {
-            let prefetch_hit = Self::touch(&mut inner, slot);
-            if prefetch_hit {
-                self.stats.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            }
+            inner.slots[slot].referenced = true;
             return Ok((
                 Arc::clone(&inner.slots[slot].data),
                 PoolReadOutcome {
                     hit: false,
-                    prefetch_hit,
                     evicted: false,
                 },
             ));
         }
-        let (slot, evicted) = self.allocate(&mut inner);
+        let (slot, evicted) = Self::allocate(&mut inner);
         if evicted {
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        Self::install(self.policy, &mut inner, slot, key, Arc::clone(&data), false);
+        // A new block gets one revolution of grace.
+        inner.slots[slot] = Slot {
+            key: Some(key),
+            data: Arc::clone(&data),
+            referenced: true,
+        };
+        inner.map.insert(key, slot);
         Ok((
             data,
             PoolReadOutcome {
                 hit: false,
-                prefetch_hit: false,
                 evicted,
             },
         ))
     }
 
-    /// Prefetch: if the block is absent, run `fetch` and install it
-    /// tagged as prefetched. Returns whether a fetch happened. A resident
-    /// block is left untouched (a prefetch probe must not look like a
-    /// demand reference to the replacement policy).
-    pub fn prefetch_with(
-        &self,
-        source: u32,
-        block_no: u64,
-        fetch: impl FnOnce() -> Result<Vec<u8>, MspError>,
-    ) -> Result<bool, MspError> {
-        let key = (source, block_no);
-        if self.inner.lock().map.contains_key(&key) {
-            return Ok(false);
-        }
-        let data = Arc::new(fetch()?);
-        Ok(self.install_prefetched(key, data))
-    }
-
-    /// Install bytes some other stage already read off the device (the
-    /// analysis scan feeding its chunks forward). No-op if resident.
-    pub fn insert_prefetched(&self, source: u32, block_no: u64, data: Vec<u8>) {
-        self.install_prefetched((source, block_no), Arc::new(data));
-    }
-
-    fn install_prefetched(&self, key: (u32, u64), data: Arc<Vec<u8>>) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.map.contains_key(&key) {
-            return false;
-        }
-        let (slot, evicted) = self.allocate(&mut inner);
-        if evicted {
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        Self::install(self.policy, &mut inner, slot, key, data, true);
-        self.stats.prefetched_blocks.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// Mark a demand reference on a resident slot; returns (and clears)
-    /// its prefetched tag.
-    fn touch(inner: &mut PoolInner, slot: usize) -> bool {
-        inner.tick += 1;
-        let tick = inner.tick;
-        let s = &mut inner.slots[slot];
-        s.referenced = true;
-        s.stamp = tick;
-        std::mem::take(&mut s.prefetched)
-    }
-
-    fn install(
-        policy: ReplacementPolicy,
-        inner: &mut PoolInner,
-        slot: usize,
-        key: (u32, u64),
-        data: Arc<Vec<u8>>,
-        prefetched: bool,
-    ) {
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.slots[slot] = Slot {
-            key: Some(key),
-            data,
-            // Clock grants new blocks one revolution of grace; SIEVE
-            // inserts unvisited by definition.
-            referenced: matches!(policy, ReplacementPolicy::Clock),
-            stamp: tick,
-            prefetched,
-        };
-        inner.map.insert(key, slot);
-        inner.order.push(slot);
-    }
-
-    /// Take `slot` out of the insertion-order queue, keeping the SIEVE
-    /// hand pointed at the same logical position.
-    fn unlink(inner: &mut PoolInner, slot: usize) {
-        if let Some(pos) = inner.order.iter().position(|&s| s == slot) {
-            inner.order.remove(pos);
-            if pos < inner.sieve_hand {
-                inner.sieve_hand -= 1;
-            }
-        }
-    }
-
-    /// A slot to install into: a free one if any, else the policy's
-    /// victim (whose old mapping is removed here). The bool reports
-    /// whether an occupied block was displaced.
-    fn allocate(&self, inner: &mut PoolInner) -> (usize, bool) {
+    /// A slot to install into: a free one if any, else the clock's victim
+    /// (whose old mapping is removed here). The bool reports whether an
+    /// occupied block was displaced.
+    fn allocate(inner: &mut PoolInner) -> (usize, bool) {
         if let Some(slot) = inner.free.pop() {
             return (slot, false);
         }
-        let victim = match self.policy {
-            ReplacementPolicy::Clock => loop {
-                let hand = inner.hand;
-                inner.hand = (inner.hand + 1) % inner.slots.len();
-                if inner.slots[hand].referenced {
-                    inner.slots[hand].referenced = false;
-                } else {
-                    break hand;
-                }
-            },
-            ReplacementPolicy::Lru => inner
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.key.is_some())
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(i, _)| i)
-                .expect("free list empty implies an occupied slot"),
-            ReplacementPolicy::Sieve => loop {
-                if inner.sieve_hand >= inner.order.len() {
-                    inner.sieve_hand = 0;
-                }
-                let slot = inner.order[inner.sieve_hand];
-                if inner.slots[slot].referenced {
-                    inner.slots[slot].referenced = false;
-                    inner.sieve_hand += 1;
-                } else {
-                    break slot;
-                }
-            },
+        let victim = loop {
+            let hand = inner.hand;
+            inner.hand = (inner.hand + 1) % inner.slots.len();
+            if inner.slots[hand].referenced {
+                inner.slots[hand].referenced = false;
+            } else {
+                break hand;
+            }
         };
         let key = inner.slots[victim].key.take().expect("victim is occupied");
         inner.map.remove(&key);
-        Self::unlink(inner, victim);
         (victim, true)
-    }
-}
-
-/// Handle letting the analysis scan's I/O stage push the chunks it reads
-/// into the pool under one source's key space — recovery replay then
-/// finds its blocks already resident instead of re-reading the region
-/// the scan just paid for.
-#[derive(Clone)]
-pub struct ScanFeed {
-    pool: Arc<BufferPool>,
-    source: u32,
-}
-
-impl ScanFeed {
-    pub fn new(pool: &Arc<BufferPool>, source: u32) -> ScanFeed {
-        ScanFeed {
-            pool: Arc::clone(pool),
-            source,
-        }
-    }
-
-    /// Offer one block-aligned chunk the scan already read.
-    pub fn insert(&self, block_no: u64, data: Vec<u8>) {
-        self.pool.insert_prefetched(self.source, block_no, data);
     }
 }
 
@@ -487,20 +281,20 @@ mod tests {
 
     #[test]
     fn demand_reads_hit_after_first_fetch() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(4);
         let src = pool.register();
         let (data, out) = pool.get(src, 7, fetch(0xAA)).unwrap();
         assert!(!out.hit);
         assert_eq!(*data, vec![0xAA; 8]);
         let (_, out) = pool.get(src, 7, || unreachable!("resident")).unwrap();
-        assert!(out.hit && !out.prefetch_hit);
+        assert!(out.hit);
         let s = pool.stats();
         assert_eq!((s.pool_hits, s.pool_misses), (1, 1));
     }
 
     #[test]
     fn sources_do_not_alias_blocks() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(4);
         let (a, b) = (pool.register(), pool.register());
         pool.get(a, 0, fetch(1)).unwrap();
         let (data, out) = pool.get(b, 0, fetch(2)).unwrap();
@@ -510,7 +304,7 @@ mod tests {
 
     #[test]
     fn clock_grants_second_chance() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Clock);
+        let pool = BufferPool::new(2);
         let src = pool.register();
         pool.get(src, 0, fetch(0)).unwrap();
         pool.get(src, 1, fetch(1)).unwrap();
@@ -521,67 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
-        let pool = BufferPool::new(3, ReplacementPolicy::Lru);
-        let src = pool.register();
-        for b in 0..3 {
-            pool.get(src, b, fetch(b as u8)).unwrap();
-        }
-        // Touch 0: block 1 becomes the coldest.
-        pool.get(src, 0, || unreachable!("resident")).unwrap();
-        pool.get(src, 3, fetch(3)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 1, 2, 3]),
-            [true, false, true, true]
-        );
-    }
-
-    #[test]
-    fn sieve_spares_visited_blocks() {
-        let pool = BufferPool::new(3, ReplacementPolicy::Sieve);
-        let src = pool.register();
-        for b in 0..3 {
-            pool.get(src, b, fetch(b as u8)).unwrap();
-        }
-        // Visit 0; the hand (oldest → newest) clears 0, evicts 1.
-        pool.get(src, 0, || unreachable!("resident")).unwrap();
-        pool.get(src, 3, fetch(3)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 1, 2, 3]),
-            [true, false, true, true]
-        );
-        // Visit 2; the hand (parked just past 0's old slot) clears 2's
-        // bit and reaches the still-unvisited newcomer 3 — SIEVE demotes
-        // one-touch entries fast.
-        pool.get(src, 2, || unreachable!("resident")).unwrap();
-        pool.get(src, 4, fetch(4)).unwrap();
-        assert_eq!(
-            resident(&pool, src, &[0, 2, 3, 4]),
-            [true, true, false, true]
-        );
-    }
-
-    #[test]
-    fn prefetched_blocks_count_when_claimed() {
-        let pool = BufferPool::new(4, ReplacementPolicy::Clock);
-        let src = pool.register();
-        assert!(pool.prefetch_with(src, 5, fetch(5)).unwrap());
-        assert!(!pool.prefetch_with(src, 5, || unreachable!()).unwrap());
-        pool.insert_prefetched(src, 6, vec![6; 8]);
-        let (_, out) = pool.get(src, 5, || unreachable!("prefetched")).unwrap();
-        assert!(out.hit && out.prefetch_hit);
-        // Claimed once: a second demand hit is an ordinary hit.
-        let (_, out) = pool.get(src, 5, || unreachable!()).unwrap();
-        assert!(out.hit && !out.prefetch_hit);
-        let s = pool.stats();
-        assert_eq!(s.pool_prefetched_blocks, 2);
-        assert_eq!(s.pool_prefetch_hits, 1);
-        assert_eq!(s.pool_misses, 0);
-    }
-
-    #[test]
     fn retire_returns_slots_without_evictions() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Sieve);
+        let pool = BufferPool::new(2);
         let (a, b) = (pool.register(), pool.register());
         pool.get(a, 0, fetch(0)).unwrap();
         pool.get(a, 1, fetch(1)).unwrap();
@@ -633,7 +368,7 @@ mod tests {
 
     #[test]
     fn fetch_errors_do_not_poison_the_pool() {
-        let pool = BufferPool::new(2, ReplacementPolicy::Lru);
+        let pool = BufferPool::new(2);
         let src = pool.register();
         let err = pool
             .get(src, 0, || {

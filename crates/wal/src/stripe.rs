@@ -55,7 +55,7 @@ use crate::log::{
     FlushPolicy, FlushTicket, LogScanner, PhysicalLog, RawScanner, DATA_START, FRAME_HEADER,
 };
 use crate::model::DiskModel;
-use crate::pool::{BufferPool, ReplacementPolicy, ScanFeed};
+use crate::pool::BufferPool;
 use crate::record::LogRecord;
 use crate::stats::{LogStats, LogStatsSnapshot};
 
@@ -638,29 +638,16 @@ impl StripedLog {
     /// Merged sequential scan of the durable log from gsn `from`: one
     /// sequential scanner per stripe, k-way merged by gsn.
     pub fn scan_from(&self, from: Lsn) -> StripedScanner<'_> {
-        self.scanner(from, false, None)
+        self.scanner(from, false)
     }
 
     /// Like [`scan_from`](Self::scan_from) with each stripe's device
     /// reads running in its own prefetch thread.
     pub fn scan_from_pipelined(&self, from: Lsn) -> StripedScanner<'_> {
-        self.scanner(from, true, None)
+        self.scanner(from, true)
     }
 
-    /// Like [`scan_from_pipelined`](Self::scan_from_pipelined) with each
-    /// stripe's I/O leg feeding its chunks into a replay buffer pool
-    /// (`feeds[s]` is stripe `s`'s feed handle).
-    pub fn scan_from_pipelined_fed(&self, from: Lsn, feeds: Vec<ScanFeed>) -> StripedScanner<'_> {
-        debug_assert_eq!(feeds.len(), self.stripes.len());
-        self.scanner(from, true, Some(feeds))
-    }
-
-    fn scanner(
-        &self,
-        from: Lsn,
-        pipelined: bool,
-        feeds: Option<Vec<ScanFeed>>,
-    ) -> StripedScanner<'_> {
+    fn scanner(&self, from: Lsn, pipelined: bool) -> StripedScanner<'_> {
         // Nothing below the merged floor survives; starting there also
         // keeps the per-stripe legs above their own local floors.
         let from = from
@@ -675,14 +662,11 @@ impl StripedLog {
                 i if i < self.scan_tables[s].len() => Some(self.scan_tables[s][i].1),
                 _ => None,
             };
-            let scanner = match (start, feeds.as_ref()) {
-                (Some(local), Some(feeds)) if pipelined => {
-                    stripe.scan_from_pipelined_fed(Lsn(local), feeds[s].clone())
-                }
-                (Some(local), _) if pipelined => stripe.scan_from_pipelined(Lsn(local)),
-                (Some(local), _) => stripe.scan_from(Lsn(local)),
+            let scanner = match start {
+                Some(local) if pipelined => stripe.scan_from_pipelined(Lsn(local)),
+                Some(local) => stripe.scan_from(Lsn(local)),
                 // Position at the device end: immediately exhausted.
-                (None, _) => stripe.scan_from(Lsn(stripe.disk().len())),
+                None => stripe.scan_from(Lsn(stripe.disk().len())),
             };
             legs.push(ScanLeg {
                 scanner,
@@ -916,22 +900,6 @@ impl Wal {
         }
     }
 
-    /// Pipelined scan whose I/O stage feeds the chunks it reads into
-    /// `cache`'s buffer pool (per stripe when striped), so a replay that
-    /// follows the scan finds its blocks already resident. Falls back to
-    /// the unfed pipelined scan on a backend mismatch.
-    pub fn scan_from_pipelined_fed(&self, from: Lsn, cache: &WalReplayCache) -> WalScanner<'_> {
-        match (self, cache) {
-            (Wal::Single(l), WalReplayCache::Single(c)) => {
-                WalScanner::Single(l.scan_from_pipelined_fed(from, c.feed()))
-            }
-            (Wal::Striped(s), WalReplayCache::Striped { caches, .. }) => WalScanner::Striped(
-                s.scan_from_pipelined_fed(from, caches.iter().map(|c| c.feed()).collect()),
-            ),
-            _ => self.scan_from_pipelined(from),
-        }
-    }
-
     pub fn charge_sequential_read(&self, bytes: u64) {
         match self {
             Wal::Single(l) => l.charge_sequential_read(bytes),
@@ -1052,14 +1020,11 @@ pub enum WalReplayCache {
 }
 
 impl WalReplayCache {
-    /// Build a cache of `blocks` 64 KB slots over `wal`'s durable prefix
-    /// (clock replacement); striped stripes share the one pool rather
-    /// than splitting the budget.
+    /// Build a cache of `blocks` 64 KB slots over `wal`'s durable prefix;
+    /// striped stripes share the one pool rather than splitting the
+    /// budget.
     pub fn new(wal: &Wal, blocks: usize) -> WalReplayCache {
-        WalReplayCache::with_pool(
-            wal,
-            &Arc::new(BufferPool::new(blocks, ReplacementPolicy::Clock)),
-        )
+        WalReplayCache::with_pool(wal, &Arc::new(BufferPool::new(blocks)))
     }
 
     /// Views over `wal` borrowing slots from a shared `pool` (one
@@ -1083,32 +1048,6 @@ impl WalReplayCache {
         match self {
             WalReplayCache::Single(c) => c.pool(),
             WalReplayCache::Striped { caches, .. } => caches[0].pool(),
-        }
-    }
-
-    /// Pull the blocks containing `positions` (LSNs / merged gsns) into
-    /// the pool ahead of a replaying worker. Positions that cannot be
-    /// located (reclaimed, or appended after the cache snapshot) are
-    /// skipped — the demand path serves them.
-    pub fn prefetch_positions(&self, positions: &[Lsn]) -> Result<(), MspError> {
-        match self {
-            WalReplayCache::Single(c) => c.prefetch_positions(positions),
-            WalReplayCache::Striped { log, caches } => {
-                // Translate each gsn to its stripe-local frame; group per
-                // stripe so each view dedupes its own block list.
-                let mut per_stripe: Vec<Vec<Lsn>> = vec![Vec::new(); caches.len()];
-                for &p in positions {
-                    if let Ok((stripe, local)) = log.locate(p.0) {
-                        per_stripe[stripe].push(Lsn(local));
-                    }
-                }
-                for (stripe, locals) in per_stripe.iter().enumerate() {
-                    if !locals.is_empty() {
-                        caches[stripe].prefetch_positions(locals)?;
-                    }
-                }
-                Ok(())
-            }
         }
     }
 

@@ -2,7 +2,8 @@
 //! log bytes: a shared-variable RMW routed through a registered shared op
 //! produces the same state whether the tracker logged it as a compact
 //! `SharedOp` record or as the value pair — across crashes, recoveries,
-//! chain-limit switchbacks, and cross-session contention.
+//! chain-limit switchbacks, and cross-session contention. And in log
+//! bytes it must pay: the diet's hot-path saving is pinned here.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,7 +30,6 @@ fn start_server(
     disk: Arc<MemDisk>,
     adaptive: bool,
 ) -> msp_core::MspHandle {
-    let cluster = ClusterConfig::new().with_msp(SERVER, DomainId(1));
     let logging = LoggingConfig {
         session_ckpt_threshold: 600,
         shared_ckpt_writes: 9, // shared checkpoints break op chains too
@@ -38,6 +38,18 @@ fn start_server(
         checkpoints_enabled: true,
         checkpoint_interval_bytes: 0,
     };
+    start_server_with(net, disk, adaptive, logging, 128)
+}
+
+/// [`start_server`] under `logging`, the shared counter `width` bytes wide.
+fn start_server_with(
+    net: &Network<Envelope>,
+    disk: Arc<MemDisk>,
+    adaptive: bool,
+    logging: LoggingConfig,
+    width: usize,
+) -> msp_core::MspHandle {
+    let cluster = ClusterConfig::new().with_msp(SERVER, DomainId(1));
     MspBuilder::new(
         MspConfig::new(SERVER, DomainId(1))
             .with_time_scale(0.0)
@@ -47,11 +59,11 @@ fn start_server(
         cluster,
     )
     .disk_model(DiskModel::zero())
-    .shared_var("total", vec![0u8; 128])
-    .shared_op("add", |old, args| {
+    .shared_var("total", vec![0u8; width])
+    .shared_op("add", move |old, args| {
         let n = u64::from_le_bytes(old[..8].try_into().unwrap())
             + u64::from(args.first().copied().unwrap_or(1));
-        let mut v = vec![0u8; 128];
+        let mut v = vec![0u8; width];
         v[..8].copy_from_slice(&n.to_le_bytes());
         v
     })
@@ -166,6 +178,40 @@ fn contended_variable_survives_crashes_under_the_diet() {
     assert_eq!(shared_total(server.as_ref().unwrap()), 40);
     server.take().unwrap().shutdown();
     net.shutdown();
+}
+
+/// The diet's reason to exist, frozen from the retired `bench_pr10`
+/// (BENCH_PR10.json: 82 %): on the hot path — no checkpoints, one
+/// session, a 256-byte variable — an op record must cost at least a
+/// fifth less log than the read/write value pair it replaces.
+#[test]
+fn op_records_save_a_fifth_of_hot_path_log_bytes() {
+    const OPS: u64 = 500;
+    let bytes_per_op = |adaptive: bool| {
+        let net: Network<Envelope> = Network::new(NetModel::zero(), 93);
+        let logging = LoggingConfig {
+            checkpoints_enabled: false,
+            ..LoggingConfig::default()
+        };
+        let disk = Arc::new(MemDisk::new());
+        let server = start_server_with(&net, disk, adaptive, logging, 256);
+        let mut client = MspClient::new(&net, 1, ClientOptions::default());
+        for i in 1..=OPS {
+            let r = client.call(SERVER, "tick", &[1]).unwrap();
+            assert_eq!(u64::from_le_bytes(r[..8].try_into().unwrap()), i);
+        }
+        assert_eq!(shared_total(&server), OPS, "adaptive={adaptive}");
+        let appended = server.log_stats().unwrap().appended_bytes;
+        server.shutdown();
+        net.shutdown();
+        appended as f64 / OPS as f64
+    };
+    let (value, op) = (bytes_per_op(false), bytes_per_op(true));
+    assert!(
+        op <= 0.8 * value,
+        "op logging costs {op:.0} B per RMW against {value:.0} B by value: \
+         less than 20 % saved"
+    );
 }
 
 proptest! {
