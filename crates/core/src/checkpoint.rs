@@ -15,12 +15,19 @@
 //!   where crash recovery's analysis scan starts.
 //!
 //! Inactive sessions and variables are force-checkpointed after a number
-//! of MSP checkpoints so the scan start keeps advancing (§3.4).
+//! of MSP checkpoints so the scan start keeps advancing (§3.4). For
+//! sessions that is a scheduler inside the MSP checkpoint tick
+//! ([`pick_forced_checkpoints`]): every tick forces its share of the
+//! sessions, oldest anchor first, as one batch behind one distributed
+//! flush — a per-session counter would put every session that shares a
+//! phase (opened together, or re-created together by a crash recovery) on
+//! the same tick for good.
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
-use msp_types::{Lsn, MspError, MspResult, StateId};
+use msp_types::{DependencyVector, Lsn, MspError, MspResult, SessionId, StateId};
 use msp_wal::record::{MspCheckpointBody, SessionAnchor};
 use msp_wal::{CrashPoint, LogRecord};
 
@@ -62,6 +69,34 @@ pub fn fold_reclaim_floor(
     floor.min(durable)
 }
 
+/// One tick of the forced-checkpoint scheduler: which sessions the MSP
+/// checkpoint about to be taken forces, and the credit left over.
+///
+/// `credit` counts sessions in units of `1 / force_ckpt_after`; every tick
+/// earns one unit per anchored session and spends `force_ckpt_after` units
+/// per pick, so each session is forced once per `force_ckpt_after` ticks
+/// on average — a lone session exactly so, 128 sessions at 16 as 8 per
+/// tick — and never more than `⌈n / force_ckpt_after⌉` in one tick. The
+/// picks are the oldest anchors (ties by id): those pin the scan start and
+/// the reclaim floor, a session just checkpointed goes to the back of the
+/// line by itself, and one the caller could not checkpoint (busy) is still
+/// first in line at the next tick.
+pub fn pick_forced_checkpoints(
+    anchors: &[(SessionId, Lsn)],
+    credit: u64,
+    force_ckpt_after: u32,
+) -> (Vec<SessionId>, u64) {
+    let per_pick = u64::from(force_ckpt_after.max(1));
+    let credit = credit + anchors.len() as u64;
+    let mut oldest: Vec<(Lsn, SessionId)> = anchors.iter().map(|&(id, lsn)| (lsn, id)).collect();
+    oldest.sort_unstable();
+    oldest.truncate((credit / per_pick) as usize);
+    (
+        oldest.into_iter().map(|(_, id)| id).collect(),
+        credit % per_pick,
+    )
+}
+
 impl MspInner {
     /// Take a session checkpoint (caller holds the session's state lock,
     /// which also "holds new requests until the checkpoint is completed").
@@ -82,6 +117,14 @@ impl MspInner {
             }
             Err(e) => return Err(e),
         }
+        self.write_session_checkpoint(cell, st)
+    }
+
+    /// The part of a session checkpoint after its distributed flush: log
+    /// the state and restart the session's stream at the record. The
+    /// caller holds the session's state lock and has made every
+    /// dependency in `st.dv` durable.
+    fn write_session_checkpoint(&self, cell: &SessionCell, st: &mut SessionState) -> MspResult<()> {
         let log = self.log();
         // Crash site: the pre-checkpoint flush succeeded but the kill
         // lands before the checkpoint record itself is written.
@@ -101,7 +144,6 @@ impl MspInner {
         st.last_ckpt = Some(lsn);
         st.log_consumed = 0;
         st.positions.truncate();
-        cell.msp_ckpts_since_ckpt.store(0, Ordering::Release);
         cell.sync_anchor(st);
         self.stats
             .session_checkpoints
@@ -166,18 +208,115 @@ impl MspInner {
         Ok(())
     }
 
-    /// The fuzzy MSP checkpoint (§3.4): collect the component anchors
-    /// without blocking anyone, make sure the referenced records are
-    /// durable, log the checkpoint, update the log anchor, and schedule
-    /// forced checkpoints for laggards.
+    /// Force this tick's share of the session checkpoints (§3.4, see
+    /// [`pick_forced_checkpoints`]) as one batch: lock the picked sessions,
+    /// make the union of their dependencies durable with one distributed
+    /// flush, log their checkpoints. A session that is busy is live and
+    /// simply comes up again next tick. Runs on the thread taking the MSP
+    /// checkpoint, before it collects anchors, so that checkpoint already
+    /// anchors — and truncates past — what this wrote.
+    fn force_session_checkpoints(&self, cells: &[Arc<SessionCell>], credit: &mut u64) {
+        // While crash recovery replays, the sessions it re-created hold
+        // state still to be rebuilt and the replay pool wants their
+        // locks: the recovery-time checkpoint records positions only.
+        if !self.cfg.logging.checkpoints_enabled || !self.recovery_done.load(Ordering::Acquire) {
+            return;
+        }
+        let anchors: Vec<(SessionId, Lsn)> = cells
+            .iter()
+            .filter_map(|cell| cell.anchor().map(|(lsn, _)| (cell.id, lsn)))
+            .collect();
+        let (picked, left) =
+            pick_forced_checkpoints(&anchors, *credit, self.cfg.logging.force_ckpt_after);
+        *credit = left;
+        let picked: Vec<Arc<SessionCell>> = {
+            let sessions = self.sessions.lock();
+            picked
+                .iter()
+                .filter_map(|id| sessions.get(id).cloned())
+                .collect()
+        };
+
+        let mut held = Vec::with_capacity(picked.len());
+        for cell in &picked {
+            match cell.state.try_lock() {
+                // A session awaiting replay has an empty state and a
+                // rebuilt stream: checkpointing it would log the empty
+                // state over the work replay is about to redo.
+                Some(st) if st.ended || st.needs_recovery => {}
+                Some(st) => held.push((cell, st)),
+                None => {
+                    self.stats
+                        .forced_ckpt_skipped_busy
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        }
+        if held.is_empty() {
+            return;
+        }
+        self.stats
+            .forced_ckpt_batches
+            .fetch_add(1, Ordering::Relaxed);
+
+        // Merging keeps only the newest state per MSP, which would hide a
+        // dependency on an older incarnation — so settle those from what
+        // we know first; one that survived its MSP's recovery is durable.
+        let known_orphan = {
+            let knowledge = self.knowledge.read();
+            held.iter()
+                .any(|(_, st)| knowledge.is_orphan(&st.dv, self.cfg.id))
+        };
+        let flushed = (!known_orphan).then(|| {
+            let mut union = DependencyVector::new();
+            for (_, st) in &held {
+                union.merge_from(&st.dv);
+            }
+            self.distributed_flush(&union)
+        });
+        let mut forced = 0;
+        match flushed {
+            Some(Ok(())) => {
+                for (cell, st) in &mut held {
+                    // An armed crash point fired mid-batch: we are dying.
+                    if self.write_session_checkpoint(cell, st).is_err() {
+                        break;
+                    }
+                    forced += 1;
+                }
+            }
+            // Some session of the batch is an orphan: let each find out
+            // for itself (the orphan goes to `RecoverSession`).
+            None | Some(Err(MspError::OrphanDependency { .. } | MspError::Orphan { .. })) => {
+                for (cell, st) in &mut held {
+                    forced += u64::from(self.session_checkpoint(cell, st).is_ok());
+                }
+            }
+            // Transient (peer unreachable, shutting down): next tick.
+            Some(Err(_)) => {}
+        }
+        self.stats
+            .forced_ckpt_sessions
+            .fetch_add(forced, Ordering::Relaxed);
+    }
+
+    /// The fuzzy MSP checkpoint (§3.4): force the laggards' checkpoints,
+    /// collect the component anchors without blocking anyone, make sure
+    /// the referenced records are durable, log the checkpoint, update the
+    /// log anchor and truncate the log below it.
     pub(crate) fn msp_checkpoint(&self) -> MspResult<()> {
+        // One MSP checkpoint at a time (the checkpointer, the
+        // recovery-time checkpoint and the test hook can overlap): the
+        // anchor on disk is then the checkpoint this call wrote, whose
+        // `min_lsn` bounds the truncation below.
+        let mut credit = self.forced_ckpt_credit.lock();
         let log = self.log();
+        let cells: Vec<_> = self.sessions.lock().values().cloned().collect();
+        self.force_session_checkpoints(&cells, &mut credit);
 
         // Fuzzy collection: lock-free anchors only.
         let mut sessions = Vec::new();
         let mut min_lsn = Lsn(u64::MAX);
-        let mut max_lsn = Lsn(0);
-        let cells: Vec<_> = self.sessions.lock().values().cloned().collect();
         for cell in &cells {
             if let Some((lsn, is_checkpoint)) = cell.anchor() {
                 sessions.push(SessionAnchor {
@@ -186,7 +325,6 @@ impl MspInner {
                     is_checkpoint,
                 });
                 min_lsn = min_lsn.min(lsn);
-                max_lsn = max_lsn.max(lsn);
             }
         }
         let mut shared = Vec::new();
@@ -194,7 +332,6 @@ impl MspInner {
             if let Some(lsn) = var.anchor() {
                 shared.push((var.id, lsn));
                 min_lsn = min_lsn.min(lsn);
-                max_lsn = max_lsn.max(lsn);
             }
         }
         if min_lsn == Lsn(u64::MAX) {
@@ -202,13 +339,8 @@ impl MspInner {
             min_lsn = log.durable_lsn();
         }
 
-        // The checkpoint may only reference durable records: flush up to
-        // the newest anchor before writing it.
-        if max_lsn > Lsn(0) {
-            log.flush_to(max_lsn)?;
-        }
-        // Crash site: anchors are durable but the MSP checkpoint record
-        // (and the log-anchor update) never happen.
+        // Crash site: the anchors exist but the MSP checkpoint record (and
+        // the log-anchor update) never happen.
         if log.fault_point(CrashPoint::CheckpointWrite) {
             return Err(MspError::Shutdown);
         }
@@ -219,6 +351,10 @@ impl MspInner {
             shared,
             min_lsn,
         };
+        // The checkpoint may only reference durable records. Every anchor
+        // lies below it in the log and the log becomes durable as a
+        // prefix, so flushing the checkpoint flushes them — with this
+        // tick's forced session checkpoints, in one device write.
         let lsn = log.append(&LogRecord::MspCheckpoint(body));
         log.flush_to(lsn)?;
         self.anchor
@@ -227,16 +363,9 @@ impl MspInner {
             .write(lsn)?;
         self.stats.msp_checkpoints.fetch_add(1, Ordering::Relaxed);
 
-        // Advance laggards so the scan start keeps moving (§3.4): force a
-        // checkpoint for any session/variable that has gone too many MSP
-        // checkpoints without one of its own.
+        // Shared variables keep the per-variable counter (§3.4): there
+        // are a handful of them and each is checkpointed in place.
         let force_after = self.cfg.logging.force_ckpt_after;
-        for cell in &cells {
-            let n = cell.msp_ckpts_since_ckpt.fetch_add(1, Ordering::AcqRel) + 1;
-            if n >= force_after && cell.anchor().is_some() {
-                self.send_work(WorkItem::ForceSessionCheckpoint(cell.id));
-            }
-        }
         for var in self.shared.iter() {
             let n = var.msp_ckpts_since_ckpt.fetch_add(1, Ordering::AcqRel) + 1;
             if n >= force_after && var.anchor().is_some() {
@@ -251,26 +380,17 @@ impl MspInner {
         // floor and gives the space below it back to the device. Failures
         // (e.g. an armed truncation crash point) surface to the caller;
         // the checkpoint itself is already durable and anchored.
-        self.truncate_log()?;
+        self.truncate_below_anchored(Some(min_lsn))?;
         Ok(())
     }
 
     /// Recompute the reclaim floor from the live dependency set and
     /// truncate the log below it. Returns the resulting floor and the
     /// bytes reclaimed by this call (zero when the floor cannot advance).
-    ///
-    /// A no-op when checkpointing is disabled: that configuration's
-    /// contract is a full-history log (tests and audits rely on every
-    /// record surviving), and the only checkpoint that could anchor a
-    /// floor is the unconditional end-of-recovery one.
     pub(crate) fn truncate_log(&self) -> MspResult<(Lsn, u64)> {
+        // Crash recovery reads the anchor, then scans from the checkpoint
+        // body's `min_lsn`.
         let log = self.log();
-        if !self.cfg.logging.checkpoints_enabled {
-            return Ok((log.floor(), 0));
-        }
-        // The floor may never pass the anchored checkpoint's scan start:
-        // crash recovery reads the anchor, then scans from the
-        // checkpoint body's `min_lsn`.
         let anchor_min = match self
             .anchor
             .as_ref()
@@ -280,6 +400,21 @@ impl MspInner {
             Some(Ok(LogRecord::MspCheckpoint(body))) => Some(body.min_lsn),
             _ => None,
         };
+        self.truncate_below_anchored(anchor_min)
+    }
+
+    /// [`Self::truncate_log`] given the anchored MSP checkpoint's scan
+    /// start, which the floor may never pass (`None`: nothing anchored).
+    ///
+    /// A no-op when checkpointing is disabled: that configuration's
+    /// contract is a full-history log (tests and audits rely on every
+    /// record surviving), and the only checkpoint that could anchor a
+    /// floor is the unconditional end-of-recovery one.
+    fn truncate_below_anchored(&self, anchor_min: Option<Lsn>) -> MspResult<(Lsn, u64)> {
+        let log = self.log();
+        if !self.cfg.logging.checkpoints_enabled {
+            return Ok((log.floor(), 0));
+        }
         let session_anchors: Vec<Lsn> = self
             .sessions
             .lock()

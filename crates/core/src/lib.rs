@@ -52,7 +52,7 @@ pub mod shared;
 pub mod state_server;
 pub mod watermark;
 
-pub use checkpoint::fold_reclaim_floor;
+pub use checkpoint::{fold_reclaim_floor, pick_forced_checkpoints};
 pub use client::MspClient;
 pub use config::{ClusterConfig, LoggingConfig, MspConfig, SessionStrategy};
 pub use envelope::{Envelope, ReplyStatus};

@@ -178,7 +178,6 @@ impl RunTokens {
 pub(crate) enum WorkItem {
     Request(RequestMsg),
     RecoverSession(SessionId),
-    ForceSessionCheckpoint(SessionId),
     /// A parked reply's durability gate failed: run the same
     /// orphan-recovery / transient-drop logic a failed blocking flush
     /// would have run inline.
@@ -197,7 +196,7 @@ impl WorkItem {
     fn session(&self) -> SessionId {
         match self {
             WorkItem::Request(req) => req.session,
-            WorkItem::RecoverSession(id) | WorkItem::ForceSessionCheckpoint(id) => *id,
+            WorkItem::RecoverSession(id) => *id,
             WorkItem::GateFailed { session, .. } => *session,
         }
     }
@@ -282,6 +281,14 @@ pub struct RuntimeStats {
     /// since the last anchor crossed `checkpoint_interval_bytes`) rather
     /// than the periodic timer.
     pub checkpoints_scheduled: AtomicU64,
+    /// MSP checkpoint ticks whose forced-checkpoint batch held at least
+    /// one session (one distributed flush each).
+    pub forced_ckpt_batches: AtomicU64,
+    /// Session checkpoints taken by the forced-checkpoint scheduler.
+    pub forced_ckpt_sessions: AtomicU64,
+    /// Sessions the scheduler picked but found busy; they stay first in
+    /// line for the next tick.
+    pub forced_ckpt_skipped_busy: AtomicU64,
     pub crash_recoveries: AtomicU64,
     pub distributed_flushes: AtomicU64,
     pub flush_requests_served: AtomicU64,
@@ -349,6 +356,9 @@ pub struct RuntimeStatsSnapshot {
     pub shared_checkpoints: u64,
     pub msp_checkpoints: u64,
     pub checkpoints_scheduled: u64,
+    pub forced_ckpt_batches: u64,
+    pub forced_ckpt_sessions: u64,
+    pub forced_ckpt_skipped_busy: u64,
     pub crash_recoveries: u64,
     pub distributed_flushes: u64,
     pub flush_requests_served: u64,
@@ -382,6 +392,9 @@ impl RuntimeStats {
             shared_checkpoints: self.shared_checkpoints.load(Ordering::Relaxed),
             msp_checkpoints: self.msp_checkpoints.load(Ordering::Relaxed),
             checkpoints_scheduled: self.checkpoints_scheduled.load(Ordering::Relaxed),
+            forced_ckpt_batches: self.forced_ckpt_batches.load(Ordering::Relaxed),
+            forced_ckpt_sessions: self.forced_ckpt_sessions.load(Ordering::Relaxed),
+            forced_ckpt_skipped_busy: self.forced_ckpt_skipped_busy.load(Ordering::Relaxed),
             crash_recoveries: self.crash_recoveries.load(Ordering::Relaxed),
             distributed_flushes: self.distributed_flushes.load(Ordering::Relaxed),
             flush_requests_served: self.flush_requests_served.load(Ordering::Relaxed),
@@ -513,6 +526,11 @@ pub struct MspInner {
     /// `false` while crashed sessions are still awaiting replay; set by
     /// the recovery pool when the replay phase completes.
     pub(crate) recovery_done: AtomicBool,
+    /// Credit of the forced-checkpoint scheduler, in units of
+    /// `1 / force_ckpt_after` sessions (see
+    /// [`crate::checkpoint::pick_forced_checkpoints`]). Held for the whole
+    /// of an MSP checkpoint, which it thereby serialises.
+    pub(crate) forced_ckpt_credit: Mutex<u64>,
     /// Buffer-pool counters accumulated from replay pools already
     /// retired (the live pool's counters are read directly); together
     /// they give the process-lifetime pool totals.
@@ -1599,15 +1617,6 @@ impl MspInner {
                         }
                     }
                 }
-                WorkItem::ForceSessionCheckpoint(id) => {
-                    if let Some(cell) = self.session(id) {
-                        let mut st = cell.state.lock();
-                        if !st.ended && st.first_lsn.is_some() {
-                            let _ = self.session_checkpoint(&cell, &mut st);
-                            cell.sync_anchor(&st);
-                        }
-                    }
-                }
                 WorkItem::GateFailed {
                     session,
                     seq,
@@ -2141,6 +2150,7 @@ impl MspBuilder {
             stats: RuntimeStats::default(),
             replay_cache: Mutex::new(None),
             recovery_done: AtomicBool::new(true),
+            forced_ckpt_credit: Mutex::new(0),
             retired_pool_stats: Mutex::new(msp_wal::PoolStatsSnapshot::default()),
         });
 

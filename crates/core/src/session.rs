@@ -9,7 +9,7 @@
 //! the thread pool.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
@@ -197,9 +197,6 @@ pub struct SessionCell {
     /// would start from. `u64::MAX` = no records yet.
     anchor_lsn: AtomicU64,
     anchor_is_ckpt: AtomicBool,
-    /// MSP checkpoints taken since this session's last checkpoint — drives
-    /// forced checkpoints of inactive sessions (§3.4).
-    pub msp_ckpts_since_ckpt: AtomicU32,
 }
 
 impl SessionCell {
@@ -209,7 +206,6 @@ impl SessionCell {
             state: Mutex::new(SessionState::default()),
             anchor_lsn: AtomicU64::new(u64::MAX),
             anchor_is_ckpt: AtomicBool::new(false),
-            msp_ckpts_since_ckpt: AtomicU32::new(0),
         };
         cell.sync_anchor(&state);
         *cell.state.lock() = state;

@@ -401,8 +401,38 @@ pub struct TortureReport {
     /// fit one and were read back through the pool.
     pub recovery_retained_bytes: u64,
     pub recovery_overflow_records: u64,
+    /// The forced-checkpoint scheduler of both MSPs' final incarnations:
+    /// batches (ticks that held at least one session), sessions
+    /// checkpointed, picks skipped because the session was busy.
+    pub forced_ckpts: ForcedCkptStats,
     /// Post-mortem audits (MSP1 then MSP2) on log-based configs.
     pub audits: Vec<LogAudit>,
+}
+
+/// Forced-checkpoint scheduler counters, summed over MSPs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForcedCkptStats {
+    pub batches: u64,
+    pub sessions: u64,
+    pub skipped_busy: u64,
+}
+
+impl ForcedCkptStats {
+    fn add(&mut self, st: &msp_core::runtime::RuntimeStatsSnapshot) {
+        self.batches += st.forced_ckpt_batches;
+        self.sessions += st.forced_ckpt_sessions;
+        self.skipped_busy += st.forced_ckpt_skipped_busy;
+    }
+}
+
+impl std::fmt::Display for ForcedCkptStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "forced_ckpts={}s/{}b/{}busy",
+            self.sessions, self.batches, self.skipped_busy
+        )
+    }
 }
 
 impl std::fmt::Display for TortureReport {
@@ -456,6 +486,9 @@ impl std::fmt::Display for TortureReport {
                 " replay_queue={}B/{}over",
                 self.recovery_retained_bytes, self.recovery_overflow_records
             )?;
+        }
+        if self.forced_ckpts.batches + self.forced_ckpts.skipped_busy > 0 {
+            write!(f, " {}", self.forced_ckpts)?;
         }
         Ok(())
     }
@@ -839,6 +872,7 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
     let mut recovery_pool_failures = 0u64;
     let mut recovery_retained_bytes = 0u64;
     let mut recovery_overflow_records = 0u64;
+    let mut forced_ckpts = ForcedCkptStats::default();
     if opts.config.is_log_based() {
         for slot in [&world.msp1, &world.msp2] {
             if let Some(ls) = slot.log_stats() {
@@ -850,6 +884,7 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                 recovery_pool_failures += st.recovery_pool_failures;
                 recovery_retained_bytes += st.recovery_retained_bytes;
                 recovery_overflow_records += st.recovery_overflow_records;
+                forced_ckpts.add(&st);
             }
             pool = pool.merge(&slot.pool_stats());
         }
@@ -883,6 +918,12 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                         st.recovery_pool_failures,
                         st.recovery_retained_bytes,
                         st.recovery_overflow_records,
+                    );
+                    eprintln!(
+                        "[trace] {who} forced_ckpt batches={} sessions={} skipped_busy={}",
+                        st.forced_ckpt_batches,
+                        st.forced_ckpt_sessions,
+                        st.forced_ckpt_skipped_busy,
                     );
                 }
             }
@@ -940,6 +981,7 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         recovery_pool_failures,
         recovery_retained_bytes,
         recovery_overflow_records,
+        forced_ckpts,
         audits,
     })
 }
@@ -1007,6 +1049,9 @@ pub struct LongRunReport {
     pub truncations: u64,
     pub bytes_reclaimed: u64,
     pub checkpoints_scheduled: u64,
+    /// Forced-checkpoint scheduler counters of both MSPs' final
+    /// incarnations.
+    pub forced_ckpts: ForcedCkptStats,
     /// Floor-aware post-mortem audits (MSP1 then MSP2).
     pub audits: Vec<LogAudit>,
 }
@@ -1038,7 +1083,7 @@ impl std::fmt::Display for LongRunReport {
             f,
             "seed={:<4} config={:<12} striped={} clients={} requests={:<5} m2_calls={:<5} \
              crashes={} mttr_q1={:.0}ms mttr_q4={:.0}ms peak_footprint={}B cap={}B \
-             trunc={} reclaimed={}B byte_ckpts={} floors=[{}]",
+             trunc={} reclaimed={}B byte_ckpts={} {} floors=[{}]",
             self.seed,
             self.config.name(),
             self.striped,
@@ -1053,6 +1098,7 @@ impl std::fmt::Display for LongRunReport {
             self.truncations,
             self.bytes_reclaimed,
             self.checkpoints_scheduled,
+            self.forced_ckpts,
             self.audits
                 .iter()
                 .map(|a| a.reclaim_floor.to_string())
@@ -1290,6 +1336,7 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
     let mut truncations = 0u64;
     let mut bytes_reclaimed = 0u64;
     let mut checkpoints_scheduled = 0u64;
+    let mut forced_ckpts = ForcedCkptStats::default();
     for slot in [&world.msp1, &world.msp2] {
         peak.fetch_max(slot.footprint(), Ordering::SeqCst);
         if let Some(ls) = slot.log_stats() {
@@ -1305,6 +1352,24 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
                     st.recovery_pool_failures
                 ));
             }
+            // No convoy: one tick forces at most its share of the
+            // sessions, however they were (re-)created.
+            let share = (slot.session_count() as u64)
+                .div_ceil(u64::from(slot.cfg.logging.force_ckpt_after));
+            if st.forced_ckpt_sessions > st.forced_ckpt_batches * share {
+                return Err(format!(
+                    "{tag}: {} forced session checkpoints in {} batches — more than \
+                     {share} per MSP checkpoint",
+                    st.forced_ckpt_sessions, st.forced_ckpt_batches
+                ));
+            }
+            if trace {
+                eprintln!(
+                    "[trace] long-run forced_ckpt batches={} sessions={} skipped_busy={}",
+                    st.forced_ckpt_batches, st.forced_ckpt_sessions, st.forced_ckpt_skipped_busy
+                );
+            }
+            forced_ckpts.add(&st);
         }
     }
     let disks = [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())];
@@ -1333,6 +1398,7 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         truncations,
         bytes_reclaimed,
         checkpoints_scheduled,
+        forced_ckpts,
         audits: audits.clone(),
     };
 

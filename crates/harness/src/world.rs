@@ -172,7 +172,7 @@ pub struct MspSlot {
     disks: Vec<Arc<MemDisk>>,
     net: Network<Envelope>,
     cluster: ClusterConfig,
-    cfg: MspConfig,
+    pub(crate) cfg: MspConfig,
     disk_model: DiskModel,
     flush_policy: FlushPolicy,
     /// The §5.4 after-reply hook, threaded into `ServiceMethod1` on every

@@ -55,31 +55,95 @@ pub trait Disk: Send + Sync {
     }
 }
 
+/// The image of a [`MemDisk`]: one buffer that holds the device's bytes
+/// *around* the reclaimed range instead of through it.
+///
+/// `bytes` is the device range `[0, head)` followed directly by
+/// `[base, len)`; the gap `[head, base)` was reclaimed, reads as zeros and
+/// is not stored. Until a reclaim compacts the buffer, `head` and `base`
+/// are 0 and `bytes` is the flat image.
+#[derive(Default)]
+struct Image {
+    bytes: Vec<u8>,
+    head: u64,
+    base: u64,
+    /// The union of every `reclaim` call as one range (`lo >= hi` while
+    /// none). The log only ever reclaims a growing prefix of the record
+    /// area, so a single range models the punched hole exactly — and lets
+    /// a repeated reclaim skip what an earlier one already released.
+    hole: (u64, u64),
+}
+
+impl Image {
+    fn len(&self) -> u64 {
+        self.base + self.bytes.len() as u64 - self.head
+    }
+
+    /// Where in `bytes` the device bytes `[start, end)` are stored
+    /// (`start <= end <= len`): the part below the gap and the part above
+    /// it, either possibly empty.
+    fn stored(&self, start: u64, end: u64) -> [std::ops::Range<usize>; 2] {
+        let shift = self.base - self.head;
+        let below = start.min(self.head)..end.min(self.head);
+        let above = start.max(self.base) - shift..end.max(self.base) - shift;
+        [
+            below.start as usize..below.end as usize,
+            above.start as usize..above.end as usize,
+        ]
+    }
+
+    /// Zero what is stored of `[start, end)`.
+    fn punch(&mut self, start: u64, end: u64) {
+        let end = end.min(self.len());
+        if start < end {
+            for range in self.stored(start, end) {
+                self.bytes[range].fill(0);
+            }
+        }
+    }
+
+    /// Stop storing the front of the hole once it outweighs the live
+    /// bytes behind it: moving those down costs less than the reclaims
+    /// that freed the space, and the buffer shrinks to what is live.
+    fn compact(&mut self) {
+        let (lo, hi) = self.hole;
+        let cut = hi.min(self.len());
+        let flat = self.base == 0 && self.head == 0;
+        let from = if flat { lo } else { self.base };
+        // A gap that is not wholly inside the hole (a write shrank it)
+        // stays as it is.
+        if cut <= from || lo > from || cut - from < self.len() - cut {
+            return;
+        }
+        if flat {
+            self.head = lo;
+        }
+        let at = self.head as usize;
+        self.bytes.drain(at..at + (cut - from) as usize);
+        self.base = cut;
+        if self.bytes.capacity() / 4 > self.bytes.len() {
+            self.bytes.shrink_to(2 * self.bytes.len());
+        }
+    }
+
+    /// Store the gap again (as zeros): a write landed in it.
+    fn flatten(&mut self) {
+        let at = self.head as usize;
+        let gap = (self.base - self.head) as usize;
+        self.bytes.splice(at..at, std::iter::repeat_n(0u8, gap));
+        self.head = 0;
+        self.base = 0;
+    }
+}
+
 /// Crash-survivable in-memory disk.
 ///
 /// Cloning shares the same underlying storage, so a "restarted MSP" opens
 /// the same `MemDisk` and sees exactly what was durable at the crash.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct MemDisk {
-    inner: Arc<Mutex<Vec<u8>>>,
+    inner: Arc<Mutex<Image>>,
     reads: Arc<AtomicU64>,
-    /// The union of every `reclaim` call as one range: lowest start
-    /// (`u64::MAX` while none) and highest end. The log only ever
-    /// reclaims a growing prefix of the record area, so a single range
-    /// models the punched hole exactly.
-    reclaim_lo: Arc<AtomicU64>,
-    reclaim_hi: Arc<AtomicU64>,
-}
-
-impl Default for MemDisk {
-    fn default() -> MemDisk {
-        MemDisk {
-            inner: Arc::default(),
-            reads: Arc::default(),
-            reclaim_lo: Arc::new(AtomicU64::new(u64::MAX)),
-            reclaim_hi: Arc::default(),
-        }
-    }
 }
 
 impl MemDisk {
@@ -87,9 +151,15 @@ impl MemDisk {
         MemDisk::default()
     }
 
-    /// Snapshot of the durable contents (diagnostics / tests).
+    /// Snapshot of the durable contents as one flat image, reclaimed
+    /// ranges as zeros (diagnostics / tests).
     pub fn snapshot(&self) -> Vec<u8> {
-        self.inner.lock().clone()
+        let img = self.inner.lock();
+        let (head, base) = (img.head as usize, img.base as usize);
+        let mut out = vec![0u8; img.len() as usize];
+        out[..head].copy_from_slice(&img.bytes[..head]);
+        out[base..].copy_from_slice(&img.bytes[head..]);
+        out
     }
 
     /// Device read operations served so far (shared across clones) —
@@ -101,29 +171,49 @@ impl MemDisk {
 
 impl Disk for MemDisk {
     fn write(&self, offset: u64, data: &[u8]) -> io::Result<()> {
-        let mut v = self.inner.lock();
-        let end = offset as usize + data.len();
-        if v.len() < end {
-            v.resize(end, 0);
+        let mut img = self.inner.lock();
+        let end = offset + data.len() as u64;
+        let (lo, hi) = img.hole;
+        if offset < hi && end > lo {
+            // Live bytes inside the hole: shrink it to the part below the
+            // write so a later reclaim zeroes them again. The log never
+            // does this (its offsets only grow), so the coarse shrink
+            // costs nothing where it matters.
+            img.hole = (lo, offset.max(lo));
         }
-        v[offset as usize..end].copy_from_slice(data);
+        if offset < img.base && end > img.head {
+            img.flatten();
+        }
+        let at = if offset < img.head {
+            offset
+        } else {
+            offset - (img.base - img.head)
+        } as usize;
+        if img.bytes.len() < at + data.len() {
+            img.bytes.resize(at + data.len(), 0);
+        }
+        img.bytes[at..at + data.len()].copy_from_slice(data);
         Ok(())
     }
 
     fn read(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        let v = self.inner.lock();
-        let off = offset as usize;
-        if off >= v.len() {
+        let img = self.inner.lock();
+        let len = img.len();
+        if offset >= len {
             return Ok(0);
         }
-        let n = buf.len().min(v.len() - off);
-        buf[..n].copy_from_slice(&v[off..off + n]);
-        Ok(n)
+        let total = buf.len().min((len - offset) as usize);
+        let [below, above] = img.stored(offset, offset + total as u64);
+        let (n_below, n_above) = (below.len(), above.len());
+        buf[..n_below].copy_from_slice(&img.bytes[below]);
+        buf[n_below..total - n_above].fill(0);
+        buf[total - n_above..total].copy_from_slice(&img.bytes[above]);
+        Ok(total)
     }
 
     fn len(&self) -> u64 {
-        self.inner.lock().len() as u64
+        self.inner.lock().len()
     }
 
     fn reclaim(&self, start: u64, end: u64) -> io::Result<()> {
@@ -132,22 +222,28 @@ impl Disk for MemDisk {
         }
         // Punch the hole: the range reads as zeros from now on, exactly
         // like the never-written gaps, and footprint stops counting it.
-        {
-            let mut v = self.inner.lock();
-            let lo = (start as usize).min(v.len());
-            let hi = (end as usize).min(v.len());
-            v[lo..hi].fill(0);
+        // Only what no earlier reclaim covered is touched, so the log's
+        // `reclaim(DATA_START, floor)` costs the floor's advance, not the
+        // bytes ever logged.
+        let mut img = self.inner.lock();
+        let (lo, hi) = img.hole;
+        if lo >= hi {
+            img.punch(start, end);
+            img.hole = (start, end);
+        } else {
+            img.punch(start, end.min(lo));
+            img.punch(start.max(hi), end);
+            img.hole = (lo.min(start), hi.max(end));
         }
-        self.reclaim_lo.fetch_min(start, Ordering::SeqCst);
-        self.reclaim_hi.fetch_max(end, Ordering::SeqCst);
+        img.compact();
         Ok(())
     }
 
     fn footprint(&self) -> u64 {
-        let len = self.len();
-        let lo = self.reclaim_lo.load(Ordering::SeqCst);
-        let hi = self.reclaim_hi.load(Ordering::SeqCst).min(len);
-        len - hi.saturating_sub(lo)
+        let img = self.inner.lock();
+        let (lo, hi) = img.hole;
+        let len = img.len();
+        len - hi.min(len).saturating_sub(lo)
     }
 }
 
@@ -292,6 +388,227 @@ mod tests {
         // Growth past the hole counts again.
         d.write(4096, &[2u8; 1024]).unwrap();
         assert_eq!(d.footprint(), 5120 - 2560);
+    }
+
+    /// The layout `MemDisk` had before extents — one flat `Vec`, reclaim
+    /// zero-fills, the hole is the union range — kept as the oracle the
+    /// extent store must be indistinguishable from.
+    #[derive(Default)]
+    struct FlatDisk {
+        bytes: Vec<u8>,
+        hole: Option<(u64, u64)>,
+    }
+
+    impl FlatDisk {
+        fn write(&mut self, offset: u64, data: &[u8]) {
+            let end = offset as usize + data.len();
+            if self.bytes.len() < end {
+                self.bytes.resize(end, 0);
+            }
+            self.bytes[offset as usize..end].copy_from_slice(data);
+        }
+
+        fn reclaim(&mut self, start: u64, end: u64) {
+            let lo = (start as usize).min(self.bytes.len());
+            let hi = (end as usize).min(self.bytes.len());
+            self.bytes[lo..hi].fill(0);
+            let (l, h) = self.hole.unwrap_or((start, end));
+            self.hole = Some((l.min(start), h.max(end)));
+        }
+
+        fn footprint(&self) -> u64 {
+            let len = self.bytes.len() as u64;
+            let (lo, hi) = self.hole.unwrap_or((0, 0));
+            len - hi.min(len).saturating_sub(lo)
+        }
+    }
+
+    /// Every observable of `d` equals the flat oracle's.
+    fn assert_same(d: &MemDisk, flat: &FlatDisk, what: &str) {
+        assert_eq!(d.len(), flat.bytes.len() as u64, "{what}: len");
+        assert_eq!(d.snapshot(), flat.bytes, "{what}: image");
+    }
+
+    #[test]
+    fn reads_cross_the_gap_a_compaction_left() {
+        let d = MemDisk::new();
+        let data: Vec<u8> = (0..300_000).map(|i| (i % 251) as u8 + 1).collect();
+        d.write(0, &data).unwrap();
+        // Most of the device is dead: the buffer keeps `[0, 512)` and the
+        // live tail, and a read spanning all three sees head, zeros, tail.
+        d.reclaim(512, 250_000).unwrap();
+        assert_eq!(d.inner.lock().bytes.len(), 512 + 50_000, "gap not stored");
+        assert_eq!(d.len(), 300_000);
+        let mut buf = vec![9u8; 300_000];
+        assert_eq!(d.read(0, &mut buf).unwrap(), 300_000);
+        assert_eq!(&buf[..512], &data[..512]);
+        assert!(buf[512..250_000].iter().all(|&b| b == 0));
+        assert_eq!(&buf[250_000..], &data[250_000..]);
+        // Reads wholly inside each part, and short only at the end.
+        let mut part = [9u8; 100];
+        assert_eq!(d.read(100_000, &mut part).unwrap(), 100);
+        assert_eq!(part, [0u8; 100]);
+        assert_eq!(d.read(249_950, &mut part).unwrap(), 100);
+        assert_eq!(&part[..50], &[0u8; 50]);
+        assert_eq!(&part[50..], &data[250_000..250_050]);
+        assert_eq!(d.read(299_950, &mut part).unwrap(), 50);
+        // Appends and sector-0 rewrites land on either side of the gap.
+        d.write(300_000, &[7u8; 1000]).unwrap();
+        d.write(0, &[8u8; 512]).unwrap();
+        assert_eq!(d.len(), 301_000);
+        let snap = d.snapshot();
+        assert!(snap[..512].iter().all(|&b| b == 8));
+        assert!(snap[300_000..].iter().all(|&b| b == 7));
+        assert_eq!(d.footprint(), 301_000 - (250_000 - 512));
+    }
+
+    #[test]
+    fn reclaim_is_idempotent_and_gives_the_memory_back() {
+        let d = MemDisk::new();
+        d.write(0, &vec![7u8; 1 << 20]).unwrap();
+        d.reclaim(512, 900_000).unwrap();
+        let before = d.snapshot();
+        let fp = d.footprint();
+        d.reclaim(512, 900_000).unwrap();
+        d.reclaim(512, 4096).unwrap();
+        assert_eq!(d.snapshot(), before);
+        assert_eq!(d.footprint(), fp);
+        // What is held is what is live — not what was ever written.
+        let held = |d: &MemDisk| d.inner.lock().bytes.capacity();
+        assert!(held(&d) < 400_000, "still holding {} bytes", held(&d));
+        // A floor that keeps following the appends keeps the buffer at
+        // the size of the live window.
+        let mut end = 1u64 << 20;
+        for _ in 0..200 {
+            d.write(end, &[5u8; 100_000]).unwrap();
+            end += 100_000;
+            d.reclaim(512, end - 150_000).unwrap();
+        }
+        assert_eq!(d.len(), end);
+        assert_eq!(d.footprint(), 512 + 150_000);
+        assert!(held(&d) < 1_000_000, "holding {} bytes", held(&d));
+        let snap = d.snapshot();
+        assert!(snap[512..(end - 150_000) as usize].iter().all(|&b| b == 0));
+        assert!(snap[(end - 150_000) as usize..].iter().all(|&b| b == 5));
+    }
+
+    #[test]
+    fn a_write_into_the_hole_is_stored_and_reclaimed_again() {
+        let d = MemDisk::new();
+        let mut flat = FlatDisk::default();
+        d.write(0, &[5u8; 200_000]).unwrap();
+        flat.write(0, &[5u8; 200_000]);
+        d.reclaim(512, 150_000).unwrap();
+        flat.reclaim(512, 150_000);
+        assert!(d.inner.lock().base > 0, "compacted");
+        // Inside the dropped gap, and straddling its upper edge.
+        for (offset, len) in [(1024u64, 16usize), (149_990, 20)] {
+            d.write(offset, &vec![6u8; len]).unwrap();
+            flat.write(offset, &vec![6u8; len]);
+            assert_same(&d, &flat, "after a write into the hole");
+        }
+        // The hole no longer claims those bytes: a repeated reclaim must
+        // zero them again.
+        d.reclaim(512, 150_000).unwrap();
+        flat.reclaim(512, 150_000);
+        assert_same(&d, &flat, "after reclaiming again");
+        assert_eq!(d.footprint(), 200_000 - (150_000 - 512));
+    }
+
+    #[test]
+    fn scripted_log_sequence_matches_the_flat_layout() {
+        // What a bounded log does to its device: sector-0 rewrites,
+        // appends of mixed sizes, and `reclaim(512, floor)` with a floor
+        // that only grows — sometimes repeated, sometimes up to the end.
+        let d = MemDisk::new();
+        let mut flat = FlatDisk::default();
+        let mut x = 0x9E37_79B9u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let (mut end, mut floor) = (512u64, 512u64);
+        for step in 0..400u64 {
+            match next() % 4 {
+                0 => {
+                    let sector = vec![(step % 255) as u8 + 1; 512];
+                    d.write(0, &sector).unwrap();
+                    flat.write(0, &sector);
+                }
+                1 | 2 => {
+                    let n = (next() % 100_000) as usize + 1;
+                    let data: Vec<u8> = (0..n)
+                        .map(|i| ((step as usize + i) % 255) as u8 + 1)
+                        .collect();
+                    d.write(end, &data).unwrap();
+                    flat.write(end, &data);
+                    end += n as u64;
+                }
+                _ => {
+                    floor = (floor + next() % 130_000).min(end);
+                    d.reclaim(512, floor).unwrap();
+                    flat.reclaim(512, floor);
+                }
+            }
+            assert_eq!(d.len(), flat.bytes.len() as u64, "step {step}");
+            assert_eq!(d.footprint(), flat.footprint(), "step {step}");
+            // A read across wherever the gap currently is.
+            let at = floor.saturating_sub(700);
+            let mut got = vec![9u8; 1500];
+            let n = d.read(at, &mut got).unwrap();
+            let want = &flat.bytes[(at as usize).min(flat.bytes.len())..];
+            assert_eq!(&got[..n], &want[..n.min(want.len())], "step {step}");
+            assert_eq!(n, want.len().min(1500), "step {step}");
+        }
+        assert_same(&d, &flat, "at the end");
+        let held = d.inner.lock().bytes.capacity() as u64;
+        assert!(held < 4 * (end - floor) + 200_000, "holding {held} bytes");
+    }
+
+    #[test]
+    fn arbitrary_writes_and_reclaims_match_the_flat_layout() {
+        // Not what a log does: writes anywhere (into the hole, into the
+        // dropped gap, far past the end) and reclaims of any range whose
+        // union stays one range, as the single-range hole requires.
+        let mut compactions = 0;
+        for seed in 1..=20u64 {
+            let d = MemDisk::new();
+            let mut flat = FlatDisk::default();
+            let mut x = seed;
+            let mut next = move || {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 33
+            };
+            for step in 0..300u64 {
+                let len = flat.bytes.len() as u64;
+                if next() % 3 == 0 {
+                    let (lo, hi) = flat.hole.unwrap_or((next() % (len + 1), 0));
+                    let start = lo
+                        .saturating_sub(next() % 3000)
+                        .min(next() % (hi.max(lo) + 1));
+                    let end = start.max(lo) + next() % 50_000;
+                    d.reclaim(start, end).unwrap();
+                    flat.reclaim(start, end);
+                } else {
+                    let offset = next() % (len + 2000);
+                    let data = vec![(step % 255) as u8 + 1; (next() % 20_000) as usize];
+                    d.write(offset, &data).unwrap();
+                    flat.write(offset, &data);
+                    // The oracle's hole is an accounting range only; ours
+                    // shrinks when written into, so compare contents.
+                }
+                assert_eq!(d.snapshot(), flat.bytes, "seed {seed} step {step}");
+                compactions += usize::from(d.inner.lock().base > 0);
+            }
+        }
+        assert!(
+            compactions > 100,
+            "the sequences never reached a compacted state"
+        );
     }
 
     #[test]

@@ -829,6 +829,17 @@ impl PhysicalLog {
     /// unreachable. The caller guarantees `floor` does not exceed any
     /// live dependency (see the reclaim-floor fold in `core`).
     pub fn truncate_below(&self, floor: Lsn) -> Result<u64, MspError> {
+        self.truncate_below_charging(floor, &self.model)
+    }
+
+    /// [`truncate_below`](Self::truncate_below) with the floor's sector
+    /// write charged to `model` — the striped log truncates its stripes
+    /// together and charges their overlapping writes once.
+    pub(crate) fn truncate_below_charging(
+        &self,
+        floor: Lsn,
+        model: &DiskModel,
+    ) -> Result<u64, MspError> {
         if self.stopped.load(Ordering::SeqCst) {
             return Err(MspError::Shutdown);
         }
@@ -838,7 +849,7 @@ impl PhysicalLog {
         if target <= cur {
             return Ok(0);
         }
-        crate::anchor::write_floor(self.disk.as_ref(), &self.model, target)?;
+        crate::anchor::write_floor(self.disk.as_ref(), model, target)?;
         self.floor.fetch_max(target, Ordering::AcqRel);
         if self.fault_point(CrashPoint::TruncateStart) {
             return Err(MspError::Shutdown);

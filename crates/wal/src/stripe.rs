@@ -593,17 +593,26 @@ impl StripedLog {
             (target, local_floors)
         };
         // Persist the merged floor on every stripe disk *before* any
-        // local truncation — reopen reads the max across disks.
+        // local truncation — reopen reads the max across disks. The
+        // stripes are separate devices, so the sector writes of one phase
+        // overlap: each phase is charged one modelled write, not one per
+        // stripe, and a truncation costs the same on any stripe count.
+        let model = self.stripes[0].model();
+        let uncharged = DiskModel::zero();
         for stripe in &self.stripes {
-            crate::anchor::write_merged_floor(stripe.disk().as_ref(), stripe.model(), target)?;
+            crate::anchor::write_merged_floor(stripe.disk().as_ref(), &uncharged, target)?;
         }
+        model.charge_flush(1);
         self.floor.fetch_max(target, Ordering::AcqRel);
         if self.fault_point(CrashPoint::TruncateStart) {
             return Err(MspError::Shutdown);
         }
         let mut reclaimed = 0;
         for (s, stripe) in self.stripes.iter().enumerate() {
-            reclaimed += stripe.truncate_below(Lsn(local_floors[s]))?;
+            reclaimed += stripe.truncate_below_charging(Lsn(local_floors[s]), &uncharged)?;
+        }
+        if reclaimed > 0 {
+            model.charge_flush(1);
         }
         self.stats.note_reclaim_floor(target);
         if self.fault_point(CrashPoint::TruncateComplete) {

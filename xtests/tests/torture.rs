@@ -127,6 +127,19 @@ fn striped_churn_holds_exactly_once_under_crash_storms() {
     }
 }
 
+/// Seed 13 on `Pessimistic` arms `CheckpointWrite` on MSP2 with a
+/// countdown that, when it was pinned, expired inside a forced-checkpoint
+/// batch (the kill lands between two sessions of one tick). Which
+/// traversal the countdown expires on depends on thread timing, so the
+/// site itself is covered deterministically by
+/// `forced_checkpoints::a_crash_inside_the_batch_recovers_exactly_once`;
+/// this keeps the storm that found it in the fixed set.
+#[test]
+fn checkpoint_write_crash_around_a_forced_batch() {
+    let report = storm(13, SystemConfig::Pessimistic);
+    assert!(report.crashes > 0, "storm injected no crashes: {report}");
+}
+
 /// Session churn on the baseline configurations: the END_SESSION resend
 /// path (lost acknowledgement → fresh cell) must not wedge clients on
 /// any strategy, lossy links included.
