@@ -85,15 +85,6 @@ impl MspClient {
         }
     }
 
-    /// Forget the session with `target` without telling the MSP: the next
-    /// call starts a fresh session while the old one stays live
-    /// server-side (until the inactivity force-checkpoint reaps it).
-    /// Open-loop harnesses use this to accumulate large live-session
-    /// populations without one teardown round-trip per session.
-    pub fn abandon_session(&mut self, target: MspId) {
-        self.sessions.remove(&target);
-    }
-
     /// End the session with `target` (§2.1: sessions are ended by a
     /// client request).
     pub fn end_session(&mut self, target: MspId) -> MspResult<()> {

@@ -142,38 +142,11 @@ pub struct MspConfig {
     /// before giving up (it normally stops earlier: either the participant
     /// answers or its recovery broadcast marks the requester orphan).
     pub flush_retry_limit: u32,
-    /// How many resends an outgoing call makes before reporting
-    /// [`msp_types::MspError::Timeout`]. The default is effectively
-    /// "retry forever" (the client protocol owns liveness); tests and
-    /// experiments that want fast failure lower it.
-    pub rpc_retry_limit: u32,
     /// Track peers' durable watermarks and elide distributed-flush work
     /// for dependencies already known durable (§3.1 fast path). Purely an
     /// optimisation: turning it off restores one flush RPC per remote
     /// dependency per boundary crossing.
     pub durability_watermarks: bool,
-    /// Park the worker thread on every pessimistic-boundary flush instead
-    /// of parking the reply envelope in the pending-release stage — the
-    /// pre-pipeline behaviour, kept as the measured baseline. Off by
-    /// default: replies are released asynchronously once their durability
-    /// gate settles.
-    pub blocking_durability: bool,
-    /// Park the worker thread on the pre-send distributed flush of every
-    /// cross-domain *outgoing call* instead of parking the request
-    /// envelope in the release stage — the pre-PR-6 behaviour, kept as
-    /// the measured baseline for the chained-call benchmark. Off by
-    /// default: sends are released asynchronously once their gate
-    /// settles, and the waiting worker hands its run token to a sibling
-    /// thread meanwhile.
-    /// Implied by `blocking_durability` (the fully blocking baseline).
-    pub blocking_send_durability: bool,
-    /// Hold the log flusher briefly after it wakes so commits arriving
-    /// while the previous flush was in flight join the same device write
-    /// (group-commit coalescing window). `None` flushes immediately.
-    pub group_commit_window: Option<Duration>,
-    /// Run the WAL on the legacy single-mutex append path instead of the
-    /// reservation-based pipeline. Compatibility/baseline knob.
-    pub serialized_append: bool,
     /// Threads in the dedicated crash-recovery replay pool (Figure 12's
     /// parallel session replay). Separate from `workers` so replay never
     /// starves new sessions arriving mid-recovery.
@@ -185,9 +158,11 @@ pub struct MspConfig {
     /// `logging.session_ckpt_threshold`) instead of per-frame device
     /// reads.
     pub replay_cache_blocks: usize,
-    /// Replay crashed sessions one at a time on a single thread with
-    /// per-session whole-window read charging — the measured baseline the
-    /// parallel engine is compared against.
+    /// Replay crashed sessions one at a time on a single thread, each
+    /// re-reading its window from the log instead of consuming the
+    /// analysis scan's queues — the reference oracle for tests, which
+    /// compare the parallel engine's recovered state against it byte for
+    /// byte.
     pub serial_recovery: bool,
     /// Let blind read-modify-writes through registered shared operations
     /// log compact `SharedOp` records (op id + args) instead of the
@@ -227,12 +202,7 @@ impl MspConfig {
             workers: 8,
             rpc_timeout: Duration::from_millis(400),
             flush_retry_limit: 200,
-            rpc_retry_limit: 10_000,
             durability_watermarks: true,
-            blocking_durability: false,
-            blocking_send_durability: false,
-            group_commit_window: None,
-            serialized_append: false,
             recovery_threads: 4,
             replay_cache_blocks: 64,
             serial_recovery: false,
@@ -269,38 +239,8 @@ impl MspConfig {
     }
 
     #[must_use]
-    pub fn with_rpc_retry_limit(mut self, limit: u32) -> MspConfig {
-        self.rpc_retry_limit = limit;
-        self
-    }
-
-    #[must_use]
     pub fn with_durability_watermarks(mut self, enabled: bool) -> MspConfig {
         self.durability_watermarks = enabled;
-        self
-    }
-
-    #[must_use]
-    pub fn with_blocking_durability(mut self, blocking: bool) -> MspConfig {
-        self.blocking_durability = blocking;
-        self
-    }
-
-    #[must_use]
-    pub fn with_blocking_send_durability(mut self, blocking: bool) -> MspConfig {
-        self.blocking_send_durability = blocking;
-        self
-    }
-
-    #[must_use]
-    pub fn with_group_commit_window(mut self, window: Option<Duration>) -> MspConfig {
-        self.group_commit_window = window;
-        self
-    }
-
-    #[must_use]
-    pub fn with_serialized_append(mut self, serialized: bool) -> MspConfig {
-        self.serialized_append = serialized;
         self
     }
 
@@ -338,14 +278,6 @@ impl MspConfig {
     pub fn with_adaptive_logging(mut self, adaptive: bool) -> MspConfig {
         self.adaptive_logging = adaptive;
         self
-    }
-
-    /// Whether cross-domain outgoing sends block the worker on their
-    /// durability gate. True on the fully blocking baseline too — a
-    /// worker that parks on replies has nothing to gain from pipelined
-    /// sends, and keeping the baseline pure keeps the benchmark honest.
-    pub fn sends_block(&self) -> bool {
-        self.blocking_durability || self.blocking_send_durability
     }
 
     /// The busy backoff after scaling.
@@ -389,25 +321,14 @@ mod tests {
     #[test]
     fn knob_builders() {
         let cfg = MspConfig::new(MspId(1), DomainId(1))
-            .with_rpc_retry_limit(3)
             .with_durability_watermarks(false)
-            .with_blocking_durability(true)
-            .with_blocking_send_durability(true)
-            .with_group_commit_window(Some(Duration::from_micros(500)))
-            .with_serialized_append(true)
             .with_recovery_threads(8)
             .with_replay_cache_blocks(16)
             .with_serial_recovery(true)
             .with_log_stripes(4)
             .with_runtime_shards(2)
             .with_adaptive_logging(true);
-        assert_eq!(cfg.rpc_retry_limit, 3);
         assert!(!cfg.durability_watermarks);
-        assert!(cfg.blocking_durability);
-        assert!(cfg.blocking_send_durability);
-        assert!(cfg.sends_block());
-        assert_eq!(cfg.group_commit_window, Some(Duration::from_micros(500)));
-        assert!(cfg.serialized_append);
         assert_eq!(cfg.recovery_threads, 8);
         assert_eq!(cfg.replay_cache_blocks, 16);
         assert!(cfg.serial_recovery);
@@ -415,19 +336,7 @@ mod tests {
         assert_eq!(cfg.runtime_shards, 2);
         assert!(cfg.adaptive_logging);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
-        assert_eq!(cfg.rpc_retry_limit, 10_000);
         assert!(cfg.durability_watermarks);
-        assert!(!cfg.blocking_durability, "pipeline is the default");
-        assert!(!cfg.blocking_send_durability, "for sends too");
-        assert!(!cfg.sends_block());
-        assert!(
-            MspConfig::new(MspId(1), DomainId(1))
-                .with_blocking_durability(true)
-                .sends_block(),
-            "the fully blocking baseline blocks sends as well"
-        );
-        assert_eq!(cfg.group_commit_window, None);
-        assert!(!cfg.serialized_append);
         assert_eq!(cfg.recovery_threads, 4);
         assert_eq!(cfg.replay_cache_blocks, 64);
         assert!(!cfg.serial_recovery);

@@ -87,6 +87,10 @@ const WORKER_OVERSUBSCRIPTION: usize = 4;
 /// Poll interval of token and notify waits, bounded so `stopped` is
 /// observed promptly.
 const PARK_POLL: Duration = Duration::from_millis(20);
+/// Resends an outgoing call makes before reporting
+/// [`MspError::Timeout`] — effectively "retry forever": the client
+/// protocol owns liveness.
+const RPC_RETRY_LIMIT: u32 = 10_000;
 
 /// Counting semaphore bounding how many worker threads *run* at once: a
 /// bounded channel preloaded with one unit per configured worker. The
@@ -296,18 +300,19 @@ pub struct RuntimeStats {
     /// (a gauge: incremented at park, decremented at release/failure).
     pub gates_pending: AtomicU64,
     /// Replies released asynchronously by the pending-release stage after
-    /// their gate settled (vs sent inline on the blocking path).
+    /// their gate settled (vs sent inline: intra-domain, or every
+    /// dependency already durable).
     pub async_reply_releases: AtomicU64,
     /// Outgoing-send gates currently parked in the release stage (a
     /// gauge, like `gates_pending` but for the send path).
     pub send_gates_pending: AtomicU64,
     /// Outgoing sends emitted by the release stage after their gate
-    /// settled (vs flushed inline on the blocking-send path).
+    /// settled (vs sent inline because every dependency was already
+    /// durable).
     pub async_send_releases: AtomicU64,
     /// Total nanoseconds workers spent inside `outgoing_call` — the
-    /// per-hop wait of a call chain (durability gate + RPC round trip),
-    /// accumulated on both durability modes so benches can compare the
-    /// per-hop breakdown. Divide by requests × m for the mean hop.
+    /// per-hop wait of a call chain (durability gate + RPC round trip).
+    /// Divide by requests × m for the mean hop.
     pub chain_hop_wait_nanos: AtomicU64,
     /// Times a worker handed its run token back to the pool while one of
     /// its pipelined sends waited out a durability gate or its reply (a
@@ -1101,14 +1106,12 @@ impl MspInner {
         Ok(())
     }
 
-    /// Deliver the reply of a just-executed request, choosing between the
-    /// blocking path and the asynchronous durability pipeline.
+    /// Deliver the reply of a just-executed request.
     ///
-    /// Intra-domain replies never flush and always go out inline. A reply
-    /// crossing a pessimistic boundary blocks on `distributed_flush` when
-    /// `blocking_durability` is set (the measured baseline); otherwise the
-    /// flush is only *issued* and the envelope is parked on its gate in
-    /// the pending-release stage — the worker is free as soon as this
+    /// Intra-domain replies never flush and always go out inline. For a
+    /// reply crossing a pessimistic boundary the distributed flush is
+    /// only *issued* and the envelope is parked on its gate in the
+    /// pending-release stage — the worker is free as soon as this
     /// returns. In both cases the session's sequencing state is committed
     /// before the reply can reach the client, so a duplicate resend finds
     /// the buffered reply (and the blocking dedup path is the safety net
@@ -1123,14 +1126,14 @@ impl MspInner {
             .reply_to
             .as_msp()
             .is_some_and(|m| self.cluster.same_domain(self.cfg.id, m));
-        if intra || self.cfg.blocking_durability || !self.is_log_based() {
+        if intra || !self.is_log_based() {
             self.send_reply(st, req.reply_to, req.session, req.seq, status.clone())?;
             st.buffered_reply = Some((req.seq, status));
             st.next_expected = req.seq.next();
             return Ok(());
         }
-        // Pessimistic boundary, pipeline enabled: issue the flush, commit
-        // the session's sequencing state, park the envelope.
+        // Pessimistic boundary: issue the flush, commit the session's
+        // sequencing state, park the envelope.
         let gate = self.distributed_flush_issue(&st.dv)?;
         st.buffered_reply = Some((req.seq, status.clone()));
         st.next_expected = req.seq.next();
@@ -1192,12 +1195,11 @@ impl MspInner {
 
     /// Resend-until-reply over the session's outgoing session, with
     /// optimistic DV attachment inside the domain and a pessimistic flush
-    /// before sending across domains. The pessimistic flush blocks the
-    /// worker only under `sends_block()`; otherwise the envelope is
-    /// parked behind its durability gate in the release stage and the
-    /// worker hands its run token back to the pool until the gate
-    /// settles — the pipelined-send path that keeps deep call chains off
-    /// the flush critical path.
+    /// before sending across domains. The pessimistic flush never blocks
+    /// the worker: the envelope is parked behind its durability gate in
+    /// the release stage and the worker hands its run token back to the
+    /// pool until the gate settles, which keeps deep call chains off the
+    /// flush critical path.
     fn outgoing_call_inner(
         &self,
         st: &mut SessionState,
@@ -1239,17 +1241,13 @@ impl MspInner {
                 (id, RequestSeq::FIRST)
             }
         };
-        let pessimistic = self.is_log_based() && !intra;
-        let pipelined = pessimistic && !self.cfg.sends_block();
-        if pessimistic && !pipelined {
-            // Pessimistic boundary, blocking baseline: nothing we depend
-            // on may be lost once this message leaves the domain.
-            self.distributed_flush(&st.dv)?;
-        }
+        // Pessimistic boundary: nothing we depend on may be lost once
+        // this message leaves the domain, so the *first* send goes
+        // through the release stage (gate-parked); timeout resends go out
+        // directly — the gate settled before the wait began, so the DV is
+        // already durable.
+        let pipelined = self.is_log_based() && !intra;
         let mut attempts = 0u32;
-        // On the pipelined path the *first* send goes through the release
-        // stage (gate-parked); timeout resends go out directly — the gate
-        // settled before the wait began, so the DV is already durable.
         let mut park_first = pipelined;
         loop {
             if self.stopped() {
@@ -1317,7 +1315,7 @@ impl MspInner {
                         });
                     }
                     attempts += 1;
-                    if attempts > self.cfg.rpc_retry_limit {
+                    if attempts > RPC_RETRY_LIMIT {
                         return Err(MspError::Timeout);
                     }
                     continue;
@@ -2082,22 +2080,19 @@ impl MspBuilder {
                     disks.len()
                 )));
             }
-            // Fold the MspConfig logging knobs into the flush policy;
-            // knobs set directly on the policy win.
-            let mut policy = self.flush_policy;
-            policy.serialized_append |= self.cfg.serialized_append;
-            if policy.group_commit_window.is_none() {
-                policy = policy.with_group_commit_window(self.cfg.group_commit_window);
-            }
             let anchor = LogAnchor::new(Arc::clone(&disks[0]), self.disk_model.clone());
             let log = if self.cfg.log_stripes == 0 {
                 Wal::Single(PhysicalLog::open(
                     Arc::clone(&disks[0]),
                     self.disk_model.clone(),
-                    policy,
+                    self.flush_policy,
                 )?)
             } else {
-                Wal::Striped(StripedLog::open(disks, self.disk_model.clone(), policy)?)
+                Wal::Striped(StripedLog::open(
+                    disks,
+                    self.disk_model.clone(),
+                    self.flush_policy,
+                )?)
             };
             if let Some(plan) = &self.fault_plan {
                 log.install_fault_plan(Arc::clone(plan));

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! torture [--seeds N] [--seed-base B] [--config NAME] [--shape NAME]
-//!         [--requests N] [--events N] [--blocking]
+//!         [--requests N] [--events N]
 //!         [--long-run] [--footprint-cap BYTES] [--crashes N] [--min-requests N]
 //! ```
 //!
@@ -12,8 +12,7 @@
 //! (default / shared-heavy / session-churn / deep-chain / striped-churn /
 //! adaptive-ops) so a sweep covers all of them — including the scale-out
 //! striped+sharded configuration and the adaptive value/operation logging
-//! diet — without multiplying its runtime. `--blocking` runs the storm on
-//! the pre-pipeline blocking durability path.
+//! diet — without multiplying its runtime.
 //!
 //! `--long-run` switches to the bounded-log tier: continuous traffic
 //! under a byte-driven checkpoint/truncate loop with fixed-cadence MSP1
@@ -40,7 +39,6 @@ struct Args {
     shape: Option<WorkloadShape>,
     requests: u64,
     events: usize,
-    blocking: bool,
     long_run: bool,
     footprint_cap: Option<u64>,
     crashes: Option<u32>,
@@ -55,7 +53,6 @@ fn parse_args() -> Args {
         shape: None,
         requests: 10,
         events: 3,
-        blocking: false,
         long_run: false,
         footprint_cap: None,
         crashes: None,
@@ -84,7 +81,6 @@ fn parse_args() -> Args {
             }
             "--requests" => args.requests = val().parse().expect("--requests N"),
             "--events" => args.events = val().parse().expect("--events N"),
-            "--blocking" => args.blocking = true,
             "--long-run" => args.long_run = true,
             "--footprint-cap" => {
                 args.footprint_cap = Some(val().parse().expect("--footprint-cap BYTES"))
@@ -179,7 +175,6 @@ fn main() -> ExitCode {
             opts.shape = shape;
             opts.requests_per_client = args.requests;
             opts.crash_events = args.events;
-            opts.blocking_durability = args.blocking;
             runs += 1;
             match run_torture(&opts) {
                 Ok(report) => {
@@ -227,12 +222,11 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "reproduce with: cargo run --release --bin torture -- \
-                 --seed-base {seed} --seeds 1 --config {} --shape {} --requests {} --events {}{}",
+                 --seed-base {seed} --seeds 1 --config {} --shape {} --requests {} --events {}",
                 config.name(),
                 shape.name(),
                 args.requests,
-                args.events,
-                if args.blocking { " --blocking" } else { "" }
+                args.events
             );
         }
         ExitCode::FAILURE

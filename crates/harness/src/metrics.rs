@@ -55,7 +55,6 @@ impl Series {
             p50: pct(0.50),
             p95: pct(0.95),
             p99: pct(0.99),
-            p999: pct(0.999),
             max: *sorted.last().expect("non-empty"),
             throughput: if self.elapsed.is_zero() {
                 0.0
@@ -74,7 +73,6 @@ pub struct Summary {
     pub p50: Duration,
     pub p95: Duration,
     pub p99: Duration,
-    pub p999: Duration,
     pub max: Duration,
     /// Requests per wall-clock second (simulated scale).
     pub throughput: f64,
@@ -117,66 +115,6 @@ impl Summary {
         } else {
             self.throughput * time_scale
         }
-    }
-}
-
-/// Per-stripe and per-shard counter breakdown of a running MSP — the
-/// scale-out observability surface: which stripes the append/flush load
-/// actually landed on, how far the merged durability watermark trailed
-/// the fastest stripe, and how the shard router spread sessions over the
-/// worker pools.
-#[derive(Debug, Clone, Default)]
-pub struct ScaleOutBreakdown {
-    /// One entry per stripe (one on the single-log path), each that
-    /// stripe's own physical-log counters.
-    pub stripes: Vec<msp_wal::stats::LogStatsSnapshot>,
-    /// Striping-level counters from the merged log (stripe_appends /
-    /// stripe_flushes / merged watermark lag); zeros on the single-log
-    /// path.
-    pub merged: msp_wal::stats::LogStatsSnapshot,
-    /// One entry per runtime shard.
-    pub shards: Vec<msp_core::runtime::ShardStatsSnapshot>,
-}
-
-impl ScaleOutBreakdown {
-    pub fn from_handle(h: &msp_core::MspHandle) -> ScaleOutBreakdown {
-        ScaleOutBreakdown {
-            stripes: h.stripe_stats().unwrap_or_default(),
-            merged: h.log_stats().unwrap_or_default(),
-            shards: h.shard_stats(),
-        }
-    }
-
-    /// Merged-watermark lag per merged flush, in milliseconds.
-    pub fn watermark_lag_ms(&self) -> f64 {
-        if self.merged.flushes == 0 {
-            return 0.0;
-        }
-        self.merged.merged_watermark_lag_nanos as f64 / 1e6 / self.merged.flushes as f64
-    }
-
-    /// Human-readable report lines, one per stripe and one per shard.
-    pub fn lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        out.push(format!(
-            "striping: stripe_appends={} stripe_flushes={} watermark_lag={:.3} ms/flush",
-            self.merged.stripe_appends,
-            self.merged.stripe_flushes,
-            self.watermark_lag_ms()
-        ));
-        for (i, s) in self.stripes.iter().enumerate() {
-            out.push(format!(
-                "stripe {i}: appends={} bytes={} flushes={} sectors={}",
-                s.appends, s.appended_bytes, s.flushes, s.flushed_sectors
-            ));
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push(format!(
-                "shard {i}: requests={} releases={} worker_parks={}",
-                s.requests, s.releases, s.worker_parks
-            ));
-        }
-        out
     }
 }
 

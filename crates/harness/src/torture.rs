@@ -133,9 +133,6 @@ pub struct TortureOptions {
     pub requests_per_client: u64,
     /// Crash events the controller walks (log-based configs only).
     pub crash_events: usize,
-    /// Run with the pre-pipeline blocking durability path instead of the
-    /// asynchronous reply-release stage (log-based configs only).
-    pub blocking_durability: bool,
     /// Wall-clock bound on the whole storm; blowing it panics with the
     /// seed rather than hanging CI forever.
     pub settle_timeout: Duration,
@@ -149,7 +146,6 @@ impl TortureOptions {
             shape: WorkloadShape::Default,
             requests_per_client: 10,
             crash_events: 3,
-            blocking_durability: false,
             settle_timeout: Duration::from_secs(120),
         }
     }
@@ -303,9 +299,7 @@ impl Schedule {
                     continue;
                 }
                 match opts.config {
-                    // (a --blocking storm never walks the pipelined-send
-                    // path, so the site would never fire there)
-                    SystemConfig::Pessimistic if !ev.target_msp2 && !opts.blocking_durability => {
+                    SystemConfig::Pessimistic if !ev.target_msp2 => {
                         ev.point = CrashPoint::SendGateIssue;
                     }
                     SystemConfig::LoOptimistic if ev.target_msp2 => {
@@ -529,10 +523,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         seed: opts.seed,
         crash_every: 0,
         durability_watermarks: true,
-        blocking_durability: opts.blocking_durability,
-        // `blocking_durability` already implies blocking sends via
-        // `sends_block()`; otherwise the storm runs the pipelined path.
-        blocking_send_durability: false,
         db_txn_overhead: Duration::ZERO,
         // The striped shape runs the scale-out configuration: WAL over
         // two stripes, runtime over two shards.
@@ -1147,8 +1137,6 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         seed: opts.seed,
         crash_every: 0,
         durability_watermarks: true,
-        blocking_durability: false,
-        blocking_send_durability: false,
         db_txn_overhead: Duration::ZERO,
         log_stripes: if opts.striped { 2 } else { 0 },
         runtime_shards: if opts.striped { 2 } else { 1 },

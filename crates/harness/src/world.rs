@@ -108,15 +108,6 @@ pub struct WorldOptions {
     /// Durability-watermark tracking (flush-RPC elision) on the log-based
     /// configurations; ignored by the baselines.
     pub durability_watermarks: bool,
-    /// Park the worker thread for the full distributed flush (the
-    /// pre-pipeline baseline) instead of handing the reply to the
-    /// asynchronous release stage; ignored by the baselines.
-    pub blocking_durability: bool,
-    /// Park the worker thread on the pessimistic pre-send flush of every
-    /// cross-domain outgoing call (the pre-PR-6 baseline) instead of
-    /// parking the request envelope in the release stage; ignored by the
-    /// baselines. Implied by `blocking_durability`.
-    pub blocking_send_durability: bool,
     /// DB transaction overhead for the Psession baseline (unscaled).
     pub db_txn_overhead: Duration,
     /// Stripe each MSP's WAL across this many simulated disks (0 = the
@@ -149,8 +140,6 @@ impl WorldOptions {
             seed: 1,
             crash_every: 0,
             durability_watermarks: true,
-            blocking_durability: false,
-            blocking_send_durability: false,
             db_txn_overhead: Duration::from_millis(4),
             log_stripes: 0,
             runtime_shards: 1,
@@ -451,8 +440,6 @@ impl World {
                 .with_workers(opts.workers)
                 .with_logging(logging.clone())
                 .with_durability_watermarks(opts.durability_watermarks)
-                .with_blocking_durability(opts.blocking_durability)
-                .with_blocking_send_durability(opts.blocking_send_durability)
                 .with_log_stripes(opts.log_stripes)
                 .with_runtime_shards(opts.runtime_shards)
                 .with_adaptive_logging(opts.adaptive_logging);

@@ -31,9 +31,9 @@ use parking_lot::Mutex;
 
 use msp_types::{Decode, Lsn, MspError};
 
-use crate::crc::crc32;
 use crate::disk::Disk;
-use crate::log::{PhysicalLog, FRAME_HEADER, FRAME_MAGIC, MAX_RECORD, SCAN_CHUNK};
+use crate::frame::{self, FRAME_HEADER};
+use crate::log::{PhysicalLog, SCAN_CHUNK};
 use crate::model::DiskModel;
 use crate::pool::BufferPool;
 use crate::record::LogRecord;
@@ -129,35 +129,6 @@ impl ReplayCache {
         Ok(copied)
     }
 
-    /// Fetch and validate the frame payload at `lsn` through the cache —
-    /// the cached analogue of the log's device frame read.
-    fn read_frame(&self, lsn: Lsn) -> Result<Vec<u8>, MspError> {
-        let corrupt = |reason: &str| MspError::LogCorrupt {
-            offset: lsn.0,
-            reason: reason.into(),
-        };
-        let mut header = [0u8; FRAME_HEADER];
-        if self.read_at(lsn.0, &mut header)? < FRAME_HEADER {
-            return Err(corrupt("truncated frame header"));
-        }
-        if header[0] != FRAME_MAGIC {
-            return Err(corrupt("bad frame magic"));
-        }
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("slice")) as usize;
-        let crc = u32::from_le_bytes(header[5..9].try_into().expect("slice"));
-        if len as u32 > MAX_RECORD {
-            return Err(corrupt("oversized frame"));
-        }
-        let mut payload = vec![0u8; len];
-        if self.read_at(lsn.0 + FRAME_HEADER as u64, &mut payload)? < len {
-            return Err(corrupt("truncated frame payload"));
-        }
-        if crc32(&payload) != crc {
-            return Err(corrupt("crc mismatch"));
-        }
-        Ok(payload)
-    }
-
     /// Read and decode the record at `lsn`, plus its framed size.
     /// Records at or past the immutable limit (appended during recovery)
     /// transparently fall back to the owning log, memoized per LSN.
@@ -170,7 +141,7 @@ impl ReplayCache {
             self.tail.lock().insert(lsn.0, out.clone());
             return Ok(out);
         }
-        let payload = self.read_frame(lsn)?;
+        let payload = frame::read(lsn.0, |off, out| self.read_at(off, out))?;
         let framed = (FRAME_HEADER + payload.len()) as u64;
         let rec = LogRecord::from_bytes(&payload).map_err(|e| MspError::LogCorrupt {
             offset: lsn.0,

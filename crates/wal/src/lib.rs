@@ -15,6 +15,10 @@
 //! * [`log`] — the physical log itself: buffered appends, sector-aligned
 //!   flushes, group commit with optional *batch flushing* (§5.5), random
 //!   record reads and the crash-recovery scanner.
+//! * [`tail`] — the log's volatile tail: lock-free LSN reservation into a
+//!   ring of staging segments.
+//! * `frame` — the record frame codec (magic, length, CRC-32), the one
+//!   place a frame is laid out or checked.
 //! * [`pool`] — the process-wide buffer pool of 64 KB log blocks
 //!   (second-chance clock replacement).
 //! * [`cache`] — the replay read view: one registered pool source bound
@@ -32,6 +36,7 @@ pub mod cache;
 pub mod crc;
 pub mod disk;
 pub mod fault;
+mod frame;
 pub mod log;
 pub mod model;
 pub mod pool;

@@ -42,9 +42,9 @@ use parking_lot::{Condvar, Mutex};
 
 use msp_types::{Decode, Encode, Lsn, MspError};
 
-use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::fault::{CrashPoint, FaultPlan};
+use crate::frame::{self, FRAME_HEADER, MAX_RECORD};
 use crate::model::DiskModel;
 use crate::record::LogRecord;
 use crate::stats::{LogStats, LogStatsSnapshot};
@@ -55,16 +55,6 @@ pub const SECTOR_SIZE: usize = 512;
 
 /// First byte of the record area (sector 0 is the log anchor).
 pub const DATA_START: u64 = SECTOR_SIZE as u64;
-
-/// Marker byte opening every record frame.
-pub(crate) const FRAME_MAGIC: u8 = 0xA5;
-
-/// Frame header: magic (1) + len (4) + crc (4).
-pub(crate) const FRAME_HEADER: usize = 9;
-
-/// Upper bound on a single record's payload; a decoded length beyond this
-/// is treated as corruption.
-pub(crate) const MAX_RECORD: u32 = 64 << 20;
 
 /// Size of the sequential-read unit used by recovery scans (§5.4: "Log
 /// reads are 128 sectors (= 64KB)").
@@ -90,12 +80,6 @@ pub struct FlushPolicy {
     /// the flusher wakes. Scaled by the disk model's time scale, like
     /// `batch_timeout`.
     pub group_commit_window: Option<Duration>,
-    /// `true`: use the legacy append path that copies each frame into
-    /// the tail buffer under one global mutex. Kept as a compatibility
-    /// baseline; the default is the reservation-based pipeline that
-    /// assigns LSNs with an atomic bump and fills segment buffers
-    /// outside any lock (see [`crate::tail`]).
-    pub serialized_append: bool,
 }
 
 impl Default for FlushPolicy {
@@ -111,7 +95,6 @@ impl FlushPolicy {
             batch_timeout: None,
             group_commit: true,
             group_commit_window: None,
-            serialized_append: false,
         }
     }
 
@@ -122,7 +105,6 @@ impl FlushPolicy {
             batch_timeout: Some(timeout),
             group_commit: false,
             group_commit_window: None,
-            serialized_append: false,
         }
     }
 
@@ -133,7 +115,6 @@ impl FlushPolicy {
             batch_timeout: None,
             group_commit: false,
             group_commit_window: None,
-            serialized_append: false,
         }
     }
 
@@ -144,13 +125,6 @@ impl FlushPolicy {
         // one opts the policy in.
         self.group_commit |= window.is_some();
         self.group_commit_window = window;
-        self
-    }
-
-    /// Select the legacy single-mutex append path.
-    #[must_use]
-    pub fn with_serialized_append(mut self, serialized: bool) -> FlushPolicy {
-        self.serialized_append = serialized;
         self
     }
 }
@@ -281,40 +255,13 @@ impl FlushTicket {
     }
 }
 
-/// Volatile state of the log.
-struct Buffer {
-    /// Framed bytes not yet handed to the device.
-    tail: Vec<u8>,
-    /// LSN of `tail[0]`.
-    tail_start: u64,
-    /// Every byte below this is durable.
-    durable: u64,
-    /// Absolute end offsets of the unflushed records, in order — the
-    /// legal split points for non-group-commit flushes.
-    record_ends: Vec<u64>,
-    /// Highest flush target already handed to the flusher. Offsets are
-    /// monotone and every signalled target is eventually flushed, so a
-    /// `flush_to` whose target is at or below this needs no new wakeup
-    /// — it just waits for the durable horizon to reach it.
-    requested: u64,
-}
-
-/// Which append pipeline backs the volatile tail.
-enum TailImpl {
-    /// Legacy: every append copies its frame into one `Vec` under a
-    /// global mutex ([`FlushPolicy::serialized_append`]).
-    Serialized(Mutex<Buffer>),
-    /// Default: lock-free LSN reservation + out-of-lock segment filling
-    /// (see [`crate::tail`]).
-    Reserved(ReservedTail),
-}
-
 /// The append/flush/read interface over one MSP's log device.
 pub struct PhysicalLog {
     disk: Arc<dyn Disk>,
     model: DiskModel,
-    tail: TailImpl,
-    durable_cv: Condvar,
+    /// The volatile tail: lock-free LSN reservation, out-of-lock segment
+    /// filling, completion watermarks (see [`crate::tail`]).
+    tail: ReservedTail,
     wakeup_tx: Sender<u64>,
     stopped: AtomicBool,
     stats: LogStats,
@@ -374,22 +321,10 @@ impl PhysicalLog {
             .unwrap_or(DATA_START)
             .max(DATA_START);
         let at = append_at.max(DATA_START).max(floor);
-        let tail = if policy.serialized_append {
-            TailImpl::Serialized(Mutex::new(Buffer {
-                tail: Vec::with_capacity(64 * 1024),
-                tail_start: at,
-                durable: at,
-                record_ends: Vec::new(),
-                requested: at,
-            }))
-        } else {
-            TailImpl::Reserved(ReservedTail::new(at))
-        };
         let log = Arc::new(PhysicalLog {
             disk,
             model,
-            tail,
-            durable_cv: Condvar::new(),
+            tail: ReservedTail::new(at),
             wakeup_tx,
             stopped: AtomicBool::new(false),
             stats: LogStats::default(),
@@ -477,39 +412,21 @@ impl PhysicalLog {
     /// so the append itself reports it.
     pub fn append_sized(&self, record: &LogRecord) -> (Lsn, u64) {
         // Crash site: the record's reservation goes through but its bytes
-        // die with the discarded tail (the reserved path abandons the
-        // fill once stopped), modelling a kill mid-append.
+        // die with the discarded tail (the fill is abandoned once
+        // stopped), modelling a kill mid-append.
         self.fault_point(CrashPoint::MidAppend);
         let payload = record.to_bytes();
-        debug_assert!(payload.len() as u32 <= MAX_RECORD);
-        let crc = crc32(&payload);
-        let framed = (FRAME_HEADER + payload.len()) as u64;
-        let lsn = match &self.tail {
-            TailImpl::Serialized(inner) => {
-                let mut inner = inner.lock();
-                let lsn = inner.tail_start + inner.tail.len() as u64;
-                inner.tail.push(FRAME_MAGIC);
-                inner
-                    .tail
-                    .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                inner.tail.extend_from_slice(&crc.to_le_bytes());
-                inner.tail.extend_from_slice(&payload);
-                let end = inner.tail_start + inner.tail.len() as u64;
-                inner.record_ends.push(end);
-                lsn
-            }
-            TailImpl::Reserved(rt) => {
-                // Encode the full frame first — outside any lock — then
-                // reserve a range and copy it into the staging ring.
-                let mut frame = Vec::with_capacity(framed as usize);
-                frame.push(FRAME_MAGIC);
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(&crc.to_le_bytes());
-                frame.extend_from_slice(&payload);
-                self.stats.on_reservation();
-                rt.append(&frame, &self.wakeup_tx, &self.stopped)
-            }
-        };
+        assert!(
+            payload.len() <= MAX_RECORD as usize,
+            "record of {} bytes exceeds the log's record limit of {MAX_RECORD} bytes",
+            payload.len()
+        );
+        // Encode the full frame first — outside any lock — then reserve a
+        // range and copy it into the staging ring.
+        let frame = frame::encode(&payload);
+        let framed = frame.len() as u64;
+        self.stats.on_reservation();
+        let lsn = self.tail.append(&frame, &self.wakeup_tx, &self.stopped);
         self.stats.on_append(framed);
         (Lsn(lsn), framed)
     }
@@ -517,22 +434,13 @@ impl PhysicalLog {
     /// LSN the next append will receive (under concurrent appends this
     /// is a snapshot — another reservation may land immediately after).
     pub fn end_lsn(&self) -> Lsn {
-        match &self.tail {
-            TailImpl::Serialized(inner) => {
-                let inner = inner.lock();
-                Lsn(inner.tail_start + inner.tail.len() as u64)
-            }
-            TailImpl::Reserved(rt) => Lsn(rt.reserved()),
-        }
+        Lsn(self.tail.reserved())
     }
 
     /// LSN of the most recently appended record's *end*; every record with
     /// LSN strictly below the durable point is safe.
     pub fn durable_lsn(&self) -> Lsn {
-        match &self.tail {
-            TailImpl::Serialized(inner) => Lsn(inner.lock().durable),
-            TailImpl::Reserved(rt) => Lsn(rt.durable()),
-        }
+        Lsn(self.tail.durable())
     }
 
     /// Block until the record at `lsn` (and everything before it) is
@@ -557,87 +465,40 @@ impl PhysicalLog {
             ticket.inner.settle(false);
             return ticket;
         }
-        match &self.tail {
-            TailImpl::Serialized(inner_mx) => {
-                {
-                    let inner = inner_mx.lock();
-                    let tail_end = inner.tail_start + inner.tail.len() as u64;
-                    // Already durable — or nothing at that LSN has even
-                    // been appended (defensive, as in the old blocking
-                    // loop): settle without touching the registry.
-                    if inner.durable > lsn.0 || tail_end <= lsn.0 {
-                        drop(inner);
-                        self.stats.on_ticket_completed();
-                        ticket.inner.settle(true);
-                        return ticket;
-                    }
-                }
-                // Register before the stop-flag check: `shutdown` sets the
-                // flag before sweeping the registry, so a ticket that
-                // misses the sweep observes the flag here and fails
-                // itself.
-                self.tickets
-                    .lock()
-                    .entry(lsn.0)
-                    .or_default()
-                    .push(Arc::clone(&ticket.inner));
-                if self.stopped.load(Ordering::SeqCst) {
-                    ticket.inner.settle(false);
-                    return ticket;
-                }
-                let mut inner = inner_mx.lock();
-                let tail_end = inner.tail_start + inner.tail.len() as u64;
-                // `record_ends` is sorted, so the end of the record
-                // containing `lsn` is the first entry past it.
-                let idx = inner.record_ends.partition_point(|&e| e <= lsn.0);
-                let target = inner.record_ends.get(idx).copied().unwrap_or(tail_end);
-                if target > inner.requested {
-                    inner.requested = target;
-                    drop(inner);
-                    if self.wakeup_tx.send(target).is_err() {
-                        ticket.inner.settle(false);
-                        return ticket;
-                    }
-                } else {
-                    drop(inner);
-                }
-                // The flusher may have advanced the horizon between the
-                // fast-path check and the registration; sweep once so the
-                // ticket cannot be stranded.
-                let durable = inner_mx.lock().durable;
-                if durable > lsn.0 {
-                    self.complete_tickets(durable);
-                }
-            }
-            TailImpl::Reserved(rt) => {
-                if rt.durable() > lsn.0 || rt.reserved() <= lsn.0 {
-                    self.stats.on_ticket_completed();
-                    ticket.inner.settle(true);
-                    return ticket;
-                }
-                self.tickets
-                    .lock()
-                    .entry(lsn.0)
-                    .or_default()
-                    .push(Arc::clone(&ticket.inner));
-                if self.stopped.load(Ordering::SeqCst) {
-                    ticket.inner.settle(false);
-                    return ticket;
-                }
-                // Reservation points always sit on frame boundaries, so
-                // the current reserved end is a legal target; it also
-                // absorbs every record appended so far, which is exactly
-                // group commit's job.
-                let reserved = rt.reserved();
-                if rt.note_requested(reserved) && self.wakeup_tx.send(reserved).is_err() {
-                    ticket.inner.settle(false);
-                    return ticket;
-                }
-                let durable = rt.durable();
-                if durable > lsn.0 {
-                    self.complete_tickets(durable);
-                }
-            }
+        let rt = &self.tail;
+        // Already durable — or nothing at that LSN has even been
+        // appended: settle without touching the registry.
+        if rt.durable() > lsn.0 || rt.reserved() <= lsn.0 {
+            self.stats.on_ticket_completed();
+            ticket.inner.settle(true);
+            return ticket;
+        }
+        // Register before the stop-flag check: `shutdown` sets the flag
+        // before sweeping the registry, so a ticket that misses the sweep
+        // observes the flag here and fails itself.
+        self.tickets
+            .lock()
+            .entry(lsn.0)
+            .or_default()
+            .push(Arc::clone(&ticket.inner));
+        if self.stopped.load(Ordering::SeqCst) {
+            ticket.inner.settle(false);
+            return ticket;
+        }
+        // Reservation points always sit on frame boundaries, so the
+        // current reserved end is a legal target; it also absorbs every
+        // record appended so far, which is exactly group commit's job.
+        let reserved = rt.reserved();
+        if rt.note_requested(reserved) && self.wakeup_tx.send(reserved).is_err() {
+            ticket.inner.settle(false);
+            return ticket;
+        }
+        // The flusher may have advanced the horizon between the fast-path
+        // check and the registration; sweep once so the ticket cannot be
+        // stranded.
+        let durable = rt.durable();
+        if durable > lsn.0 {
+            self.complete_tickets(durable);
         }
         ticket
     }
@@ -711,57 +572,34 @@ impl PhysicalLog {
     /// Fetch the validated frame payload at `lsn`, from the volatile
     /// tail if still buffered, else from the device.
     fn read_frame(&self, lsn: Lsn) -> Result<Vec<u8>, MspError> {
-        let corrupt = |reason: &str| MspError::LogCorrupt {
-            offset: lsn.0,
-            reason: reason.into(),
-        };
-        match &self.tail {
-            TailImpl::Serialized(inner) => {
-                {
-                    let inner = inner.lock();
-                    if lsn.0 >= inner.tail_start {
-                        let off = (lsn.0 - inner.tail_start) as usize;
-                        if off >= inner.tail.len() {
-                            return Err(corrupt("read past end of log"));
-                        }
-                        return read_frame_from_slice(&inner.tail, off, lsn.0);
-                    }
-                }
-                read_frame_from_disk(self.disk.as_ref(), lsn.0)
+        let rt = &self.tail;
+        // A known LSN is fully staged (its append returned before the LSN
+        // could escape), so the only race is the slot being retired
+        // mid-read — in which case the bytes are durable and the device
+        // serves them.
+        while lsn.0 >= rt.durable() {
+            if lsn.0 >= rt.reserved() {
+                return Err(MspError::LogCorrupt {
+                    offset: lsn.0,
+                    reason: "read past end of log".into(),
+                });
             }
-            TailImpl::Reserved(rt) => {
-                // A known LSN is fully staged (its append returned before
-                // the LSN could escape), so the only race is the slot
-                // being retired mid-read — in which case the bytes are
-                // durable and the device serves them.
-                while lsn.0 >= rt.durable() {
-                    if lsn.0 >= rt.reserved() {
-                        return Err(corrupt("read past end of log"));
-                    }
-                    let mut header = [0u8; FRAME_HEADER];
-                    if !rt.try_copy_out(lsn.0, &mut header) {
-                        continue;
-                    }
-                    if header[0] != FRAME_MAGIC {
-                        return Err(corrupt("bad frame magic"));
-                    }
-                    let len = u32::from_le_bytes(header[1..5].try_into().expect("slice")) as usize;
-                    let crc = u32::from_le_bytes(header[5..9].try_into().expect("slice"));
-                    if len as u32 > MAX_RECORD {
-                        return Err(corrupt("oversized frame"));
-                    }
-                    let mut payload = vec![0u8; len];
-                    if !rt.try_copy_out(lsn.0 + FRAME_HEADER as u64, &mut payload) {
-                        continue;
-                    }
-                    if crc32(&payload) != crc {
-                        return Err(corrupt("crc mismatch"));
-                    }
-                    return Ok(payload);
+            let mut retired = false;
+            let got = frame::read(lsn.0, |off, out| {
+                if rt.try_copy_out(off, out) {
+                    Ok(out.len())
+                } else {
+                    retired = true;
+                    Ok(0)
                 }
-                read_frame_from_disk(self.disk.as_ref(), lsn.0)
+            });
+            if !retired {
+                return got;
             }
         }
+        frame::read(lsn.0, |off, out| {
+            self.disk.read(off, out).map_err(MspError::Io)
+        })
     }
 
     /// Sequential scanner over the *durable* log starting at `from`,
@@ -892,20 +730,11 @@ impl PhysicalLog {
         if !clean {
             // Discard the volatile tail so the flusher's final drain
             // cannot accidentally make it durable.
-            match &self.tail {
-                TailImpl::Serialized(inner) => {
-                    let mut inner = inner.lock();
-                    inner.tail.clear();
-                    inner.record_ends.clear();
-                }
-                TailImpl::Reserved(rt) => rt.set_discard(),
-            }
+            self.tail.set_discard();
         }
         self.stopped.store(true, Ordering::SeqCst);
-        if let TailImpl::Reserved(rt) = &self.tail {
-            // Unpark a flusher waiting for segment completion promptly.
-            rt.notify_force();
-        }
+        // Unpark a flusher waiting for segment completion promptly.
+        self.tail.notify_force();
         let _ = self.wakeup_tx.send(u64::MAX);
         if let Some(h) = self.flusher.lock().take() {
             let _ = h.join();
@@ -914,19 +743,8 @@ impl PhysicalLog {
         // Tickets registered after this sweep observe the stop flag and
         // fail themselves.
         self.fail_all_tickets();
-        // Wake any stragglers stuck in flush_to. Bracketing the notify
-        // with the buffer lock closes the missed-wakeup window: a waiter
-        // holds the lock from its stop-flag check until it enters the
-        // wait, so by the time this lock is acquired the waiter either
-        // saw `stopped` or is already parked and will receive the
-        // notification.
-        match &self.tail {
-            TailImpl::Serialized(inner) => {
-                drop(inner.lock());
-                self.durable_cv.notify_all();
-            }
-            TailImpl::Reserved(rt) => rt.notify_force(),
-        }
+        // Wake any appender still parked on the staging ring.
+        self.tail.notify_force();
     }
 
     fn flusher_loop(self: Arc<PhysicalLog>, wakeup_rx: Receiver<u64>, policy: FlushPolicy) {
@@ -969,30 +787,14 @@ impl PhysicalLog {
             } else {
                 first
             };
-            match &self.tail {
-                TailImpl::Serialized(_) => {
-                    if policy.group_commit {
-                        // Group commit: one write takes everything pending.
-                        self.perform_flush(None);
-                    } else if policy.batch_timeout.is_some() {
-                        // Batch flushing (§5.5): the timeout window
-                        // coalesced all requests into one write.
-                        self.perform_flush(Some(target));
-                    } else {
-                        // The paper prototype's baseline: one device write
-                        // per flush request (already-covered targets are
-                        // no-ops).
-                        self.perform_flush(Some(first));
-                    }
-                }
-                TailImpl::Reserved(rt) => {
-                    if policy.group_commit {
-                        let goal = rt.requested().max(rt.reserved());
-                        self.flush_reserved(rt, goal, true);
-                    } else {
-                        self.flush_reserved(rt, target.max(first), false);
-                    }
-                }
+            if policy.group_commit {
+                // One write takes everything pending, padded to a sector.
+                let goal = self.tail.requested().max(self.tail.reserved());
+                self.flush_reserved(goal, true);
+            } else {
+                // Batch flushing (§5.5) coalesced the window's requests
+                // into `target`; on the per-request baseline it is `first`.
+                self.flush_reserved(target, false);
             }
             // The coalescing drains above may have consumed the shutdown
             // sentinel; recheck so shutdown() is never left joining a
@@ -1005,26 +807,22 @@ impl PhysicalLog {
     }
 
     /// Last flush before the flusher exits, so `close()` callers are not
-    /// stranded. A crash (`discard`) makes this a no-op on the reserved
-    /// path; the serialized path's tail was already cleared.
+    /// stranded. A crash (`discard`) makes this a no-op.
     fn final_drain(&self, policy: FlushPolicy) {
-        match &self.tail {
-            TailImpl::Serialized(_) => self.perform_flush(None),
-            TailImpl::Reserved(rt) => {
-                if !rt.discarded() {
-                    let goal = rt.requested().max(rt.reserved());
-                    self.flush_reserved(rt, goal, policy.group_commit);
-                }
-                rt.notify_force();
-            }
+        let rt = &self.tail;
+        if !rt.discarded() {
+            let goal = rt.requested().max(rt.reserved());
+            self.flush_reserved(goal, policy.group_commit);
         }
+        rt.notify_force();
     }
 
     /// Drive the reserved tail durable up to `goal` (clamped to the
     /// reserved end), waiting for segment completion watermarks as
     /// needed. `pad` rounds the final write up to a sector boundary when
     /// no concurrent reservation races in.
-    fn flush_reserved(&self, rt: &ReservedTail, goal: u64, pad: bool) {
+    fn flush_reserved(&self, goal: u64, pad: bool) {
+        let rt = &self.tail;
         loop {
             if rt.discarded() {
                 break;
@@ -1064,7 +862,7 @@ impl PhysicalLog {
             }
             // Sector span actually touched (the first sector may be a
             // partial rewrite); an unpadded partial last sector is waste
-            // this flush pays for, exactly like the serialized path.
+            // this flush pays for (the next flush rewrites it).
             let first_sector = durable / SECTOR_SIZE as u64;
             let last_sector = end.div_ceil(SECTOR_SIZE as u64);
             let sectors = last_sector - first_sector;
@@ -1079,94 +877,15 @@ impl PhysicalLog {
         }
         rt.notify_force();
     }
-
-    /// One device write. `limit = None` takes the whole tail and pads it
-    /// to a sector boundary (group commit); `limit = Some(end)` writes
-    /// only up to the record boundary `end`, unpadded — the next flush
-    /// rewrites the partial last sector, as on a real log disk.
-    fn perform_flush(&self, limit: Option<u64>) {
-        let TailImpl::Serialized(inner_mx) = &self.tail else {
-            return;
-        };
-        let (start, bytes, padded, end) = {
-            let mut inner = inner_mx.lock();
-            if inner.tail.is_empty() {
-                self.durable_cv.notify_all();
-                return;
-            }
-            let start = inner.tail_start;
-            let tail_end = start + inner.tail.len() as u64;
-            match limit {
-                None => {
-                    let mut bytes = std::mem::take(&mut inner.tail);
-                    let pad =
-                        (SECTOR_SIZE as u64 - tail_end % SECTOR_SIZE as u64) % SECTOR_SIZE as u64;
-                    bytes.resize(bytes.len() + pad as usize, 0);
-                    inner.tail_start = tail_end + pad;
-                    inner.record_ends.clear();
-                    (start, bytes, pad, tail_end + pad)
-                }
-                Some(l) => {
-                    // Clamp to a record boundary within the tail.
-                    let end = l.clamp(start, tail_end);
-                    if end <= start {
-                        self.durable_cv.notify_all();
-                        return;
-                    }
-                    debug_assert!(
-                        inner.record_ends.binary_search(&end).is_ok() || end == tail_end,
-                        "flush limit must be a record boundary"
-                    );
-                    let take = (end - start) as usize;
-                    let bytes: Vec<u8> = inner.tail.drain(..take).collect();
-                    inner.tail_start = end;
-                    let keep = inner.record_ends.partition_point(|&e| e <= end);
-                    inner.record_ends.drain(..keep);
-                    // The unwritten remainder of the last sector is waste
-                    // this flush pays for (it will be rewritten).
-                    let waste =
-                        (SECTOR_SIZE as u64 - end % SECTOR_SIZE as u64) % SECTOR_SIZE as u64;
-                    (start, bytes, waste, end)
-                }
-            }
-        };
-        // Sector span actually touched by this write (the first sector may
-        // be a partial rewrite).
-        let first_sector = start / SECTOR_SIZE as u64;
-        let last_sector = end.div_ceil(SECTOR_SIZE as u64);
-        let sectors = last_sector - first_sector;
-        self.model.charge_flush(sectors);
-        // MemDisk writes cannot fail; FileDisk failures would need real
-        // error propagation — surfaced as a poisoned durable horizon.
-        if self.disk.write(start, &bytes).is_ok() {
-            let durable = {
-                let mut inner = inner_mx.lock();
-                inner.durable = inner.durable.max(end);
-                self.stats.on_flush(sectors, padded);
-                inner.durable
-            };
-            self.complete_tickets(durable);
-        }
-        self.durable_cv.notify_all();
-    }
 }
 
 impl Drop for PhysicalLog {
     fn drop(&mut self) {
         // Crash-consistent by default: the tail is NOT flushed. Callers
         // wanting durability must call `close()`.
-        match &self.tail {
-            TailImpl::Serialized(inner) => {
-                let mut inner = inner.lock();
-                inner.tail.clear();
-                inner.record_ends.clear();
-            }
-            TailImpl::Reserved(rt) => rt.set_discard(),
-        }
+        self.tail.set_discard();
         self.stopped.store(true, Ordering::SeqCst);
-        if let TailImpl::Reserved(rt) = &self.tail {
-            rt.notify_force();
-        }
+        self.tail.notify_force();
         let _ = self.wakeup_tx.send(u64::MAX);
         if let Some(h) = self.flusher.lock().take() {
             let _ = h.join();
@@ -1175,60 +894,6 @@ impl Drop for PhysicalLog {
         // can outlive the log; fail the registry or they hang forever.
         self.fail_all_tickets();
     }
-}
-
-fn read_frame_from_slice(buf: &[u8], off: usize, lsn: u64) -> Result<Vec<u8>, MspError> {
-    let corrupt = |reason: &str| MspError::LogCorrupt {
-        offset: lsn,
-        reason: reason.into(),
-    };
-    if buf.len() < off + FRAME_HEADER {
-        return Err(corrupt("truncated frame header"));
-    }
-    if buf[off] != FRAME_MAGIC {
-        return Err(corrupt("bad frame magic"));
-    }
-    let len = u32::from_le_bytes(buf[off + 1..off + 5].try_into().expect("slice")) as usize;
-    let crc = u32::from_le_bytes(buf[off + 5..off + 9].try_into().expect("slice"));
-    if len as u32 > MAX_RECORD || buf.len() < off + FRAME_HEADER + len {
-        return Err(corrupt("truncated frame payload"));
-    }
-    let payload = &buf[off + FRAME_HEADER..off + FRAME_HEADER + len];
-    if crc32(payload) != crc {
-        return Err(corrupt("crc mismatch"));
-    }
-    Ok(payload.to_vec())
-}
-
-fn read_frame_from_disk(disk: &dyn Disk, lsn: u64) -> Result<Vec<u8>, MspError> {
-    let corrupt = |reason: &str| MspError::LogCorrupt {
-        offset: lsn,
-        reason: reason.into(),
-    };
-    let mut header = [0u8; FRAME_HEADER];
-    let n = disk.read(lsn, &mut header).map_err(MspError::Io)?;
-    if n < FRAME_HEADER {
-        return Err(corrupt("truncated frame header"));
-    }
-    if header[0] != FRAME_MAGIC {
-        return Err(corrupt("bad frame magic"));
-    }
-    let len = u32::from_le_bytes(header[1..5].try_into().expect("slice")) as usize;
-    let crc = u32::from_le_bytes(header[5..9].try_into().expect("slice"));
-    if len as u32 > MAX_RECORD {
-        return Err(corrupt("oversized frame"));
-    }
-    let mut payload = vec![0u8; len];
-    let n = disk
-        .read(lsn + FRAME_HEADER as u64, &mut payload)
-        .map_err(MspError::Io)?;
-    if n < len {
-        return Err(corrupt("truncated frame payload"));
-    }
-    if crc32(&payload) != crc {
-        return Err(corrupt("crc mismatch"));
-    }
-    Ok(payload)
 }
 
 /// Depth of the pipelined scan: 64 KB chunks buffered between the I/O
@@ -1421,35 +1086,6 @@ impl<'a> RawScanner<'a> {
         Ok(copied)
     }
 
-    /// Read and validate the frame at `lsn` through the read-ahead
-    /// buffer — the buffered analogue of [`read_frame_from_disk`].
-    fn read_frame_buffered(&mut self, lsn: u64) -> Result<Vec<u8>, MspError> {
-        let corrupt = |reason: &str| MspError::LogCorrupt {
-            offset: lsn,
-            reason: reason.into(),
-        };
-        let mut header = [0u8; FRAME_HEADER];
-        if self.read_buffered(lsn, &mut header)? < FRAME_HEADER {
-            return Err(corrupt("truncated frame header"));
-        }
-        if header[0] != FRAME_MAGIC {
-            return Err(corrupt("bad frame magic"));
-        }
-        let len = u32::from_le_bytes(header[1..5].try_into().expect("slice")) as usize;
-        let crc = u32::from_le_bytes(header[5..9].try_into().expect("slice"));
-        if len as u32 > MAX_RECORD {
-            return Err(corrupt("oversized frame"));
-        }
-        let mut payload = vec![0u8; len];
-        if self.read_buffered(lsn + FRAME_HEADER as u64, &mut payload)? < len {
-            return Err(corrupt("truncated frame payload"));
-        }
-        if crc32(&payload) != crc {
-            return Err(corrupt("crc mismatch"));
-        }
-        Ok(payload)
-    }
-
     /// Yield the next `(lsn, payload)` pair, skipping sector padding;
     /// `None` at the intact end of the stream (including a torn tail,
     /// which is indistinguishable from "the crash hit mid-flush" and is
@@ -1479,9 +1115,9 @@ impl<'a> RawScanner<'a> {
                 self.offset = next;
                 continue;
             }
-            return match self.read_frame_buffered(self.offset) {
+            let lsn = self.offset;
+            return match frame::read(lsn, |off, out| self.read_buffered(off, out)) {
                 Ok(payload) => {
-                    let lsn = self.offset;
                     self.offset += (FRAME_HEADER + payload.len()) as u64;
                     Ok(Some((lsn, payload)))
                 }
@@ -1528,6 +1164,7 @@ impl Iterator for LogScanner<'_> {
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
+    use crate::frame::FRAME_MAGIC;
     use msp_types::{RequestSeq, SessionId};
 
     fn rec(session: u64, seq: u64) -> LogRecord {
@@ -1843,28 +1480,6 @@ mod tests {
     }
 
     #[test]
-    fn serialized_append_path_still_works() {
-        let disk = MemDisk::new();
-        let log = PhysicalLog::open(
-            Arc::new(disk.clone()),
-            DiskModel::zero(),
-            FlushPolicy::immediate().with_serialized_append(true),
-        )
-        .unwrap();
-        let a = log.append(&rec(1, 0));
-        assert_eq!(log.read_record(a).unwrap(), rec(1, 0));
-        log.flush_to(a).unwrap();
-        assert_eq!(disk.len() % SECTOR_SIZE as u64, 0);
-        assert_eq!(log.read_record(a).unwrap(), rec(1, 0));
-        assert_eq!(
-            log.stats().append_reservations,
-            0,
-            "serialized path must not touch the reservation pipeline"
-        );
-        log.close();
-    }
-
-    #[test]
     fn reserved_append_counts_reservations() {
         let (_, log) = open_mem();
         let a = log.append(&rec(1, 0));
@@ -1918,6 +1533,34 @@ mod tests {
         log.flush_to(b).unwrap();
         assert_eq!(log.read_record(b).unwrap(), rec(1, 1));
         log.close();
+    }
+
+    /// A record whose encoding is exactly `encoded_len` bytes.
+    fn rec_of_encoded_len(encoded_len: usize) -> LogRecord {
+        let overhead = big_rec(1, 0, 0).to_bytes().len();
+        let r = big_rec(1, 0, encoded_len - overhead);
+        assert_eq!(r.to_bytes().len(), encoded_len);
+        r
+    }
+
+    #[test]
+    fn largest_record_round_trips() {
+        let (_, log) = open_mem();
+        let r = rec_of_encoded_len(MAX_RECORD as usize);
+        let (a, framed) = log.append_sized(&r);
+        assert_eq!(framed as usize, crate::tail::MAX_RESERVED_FRAME);
+        log.flush_to(a).unwrap();
+        assert_eq!(log.read_record(a).unwrap(), r);
+        let got: Vec<_> = log.scan_from(Lsn(DATA_START)).map(|r| r.unwrap()).collect();
+        assert_eq!(got, vec![(a, r)]);
+        log.close();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the log's record limit of")]
+    fn one_byte_over_the_record_limit_is_refused() {
+        let (_, log) = open_mem();
+        log.append(&rec_of_encoded_len(MAX_RECORD as usize + 1));
     }
 
     #[test]

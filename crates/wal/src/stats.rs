@@ -54,8 +54,8 @@ pub struct LogStatsSnapshot {
     /// Device reads issued by the scanner's read-ahead buffer (one per
     /// 64 KB chunk instead of three per record).
     pub readahead_chunks: u64,
-    /// LSN ranges handed out by the lock-free reservation pipeline
-    /// (zero when running with `serialized_append`).
+    /// LSN ranges handed out by the lock-free reservation pipeline (one
+    /// per append).
     pub append_reservations: u64,
     /// Flusher wakeups that absorbed at least one additional pending
     /// flush request into the same device write (group-commit /

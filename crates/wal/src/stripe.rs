@@ -51,9 +51,8 @@ use msp_types::{Encode, Lsn, MspError};
 use crate::cache::ReplayCache;
 use crate::disk::Disk;
 use crate::fault::{CrashPoint, FaultPlan};
-use crate::log::{
-    FlushPolicy, FlushTicket, LogScanner, PhysicalLog, RawScanner, DATA_START, FRAME_HEADER,
-};
+use crate::frame::FRAME_HEADER;
+use crate::log::{FlushPolicy, FlushTicket, LogScanner, PhysicalLog, RawScanner, DATA_START};
 use crate::model::DiskModel;
 use crate::pool::BufferPool;
 use crate::record::LogRecord;

@@ -1,9 +1,9 @@
-//! The reservation-based append pipeline (the scalable WAL tail).
+//! The reservation-based append pipeline: the log's volatile tail.
 //!
-//! The legacy append path funnels every worker thread through one global
-//! `Mutex<Buffer>`, copying the encoded frame while holding the lock, so
-//! append throughput collapses as the thread pool grows. This module
-//! decouples the three phases the way multicore logging papers prescribe
+//! Funnelling every worker thread through one mutex-guarded tail buffer,
+//! copying the encoded frame while holding the lock, collapses append
+//! throughput as the thread pool grows. This module decouples the three
+//! phases the way multicore logging papers prescribe
 //! (Wu et al., *Fast Failure Recovery for Main-Memory DBMSs on
 //! Multicores*; Yao et al., *Adaptive Logging*):
 //!
@@ -23,10 +23,10 @@
 //! stages segment `k`; the flusher re-stages a slot to `k + RING` once
 //! segment `k` is entirely durable. An appender that runs ahead of the
 //! ring waits for the flusher — bounding the volatile tail to
-//! `SEGMENT_RING × SEGMENT_SIZE` bytes (the legacy path's tail `Vec` was
-//! unbounded). The ring's buffers come from a process-wide recycling
-//! slab (see `SLAB`) rather than being owned per log, so processes that
-//! open many logs share one bounded pool of staging memory.
+//! `SEGMENT_RING × SEGMENT_SIZE` bytes. The ring's buffers come from a
+//! process-wide recycling slab (see `SLAB`) rather than being owned per
+//! log, so processes that open many logs share one bounded pool of
+//! staging memory.
 //!
 //! # Frame placement rules
 //!
@@ -40,8 +40,10 @@
 //!   durable point is never published inside a spanning frame, so the
 //!   crash-suffix invariant ("the log loses only a suffix of whole
 //!   frames") holds even for oversized records. Frames longer than
-//!   `(SEGMENT_RING - 1) × SEGMENT_SIZE` cannot be staged and panic; the
-//!   `serialized_append` compatibility path has no such limit.
+//!   [`MAX_RESERVED_FRAME`] = `(SEGMENT_RING - 1) × SEGMENT_SIZE` cannot
+//!   be staged; that is the log's record-size limit, which
+//!   `PhysicalLog::append_sized` enforces before a frame gets here and
+//!   every reader applies to the lengths it decodes.
 //!
 //! # Memory-safety argument for the `UnsafeCell` buffers
 //!
@@ -75,7 +77,8 @@ pub const SEGMENT_SIZE: usize = 1 << 20;
 /// `SEGMENT_RING × SEGMENT_SIZE` bytes.
 pub const SEGMENT_RING: usize = 8;
 
-/// Largest frame the reservation pipeline can stage (see module docs).
+/// Largest frame the reservation pipeline can stage (see module docs);
+/// the log's record-size limit is this less the frame header.
 pub const MAX_RESERVED_FRAME: usize = (SEGMENT_RING - 1) * SEGMENT_SIZE;
 
 const SEG: u64 = SEGMENT_SIZE as u64;
@@ -298,9 +301,8 @@ impl ReservedTail {
     fn place(&self, frame_len: u64) -> Placement {
         assert!(
             frame_len as usize <= MAX_RESERVED_FRAME,
-            "record frame of {frame_len} bytes exceeds the reservation \
-             pipeline's staging window ({MAX_RESERVED_FRAME} bytes); \
-             use the serialized_append compatibility path for such records"
+            "record frame of {frame_len} bytes exceeds the staging window \
+             of {MAX_RESERVED_FRAME} bytes; append_sized bounds every frame"
         );
         let mut cur = self.reserved.load(Ordering::Acquire);
         loop {

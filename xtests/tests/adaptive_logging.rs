@@ -180,7 +180,7 @@ fn contended_variable_survives_crashes_under_the_diet() {
     net.shutdown();
 }
 
-/// The diet's reason to exist, frozen from the retired `bench_pr10`
+/// The diet's reason to exist, frozen from the retired PR 10 bench bin
 /// (BENCH_PR10.json: 82 %): on the hot path — no checkpoints, one
 /// session, a 256-byte variable — an op record must cost at least a
 /// fifth less log than the read/write value pair it replaces.

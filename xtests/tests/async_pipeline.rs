@@ -1,7 +1,7 @@
 //! The asynchronous durability pipeline: crash safety of the
-//! issue→settle window, blocking-vs-pipelined equivalence, and the
-//! observability counters — for client replies (PR 5) and cross-domain
-//! outgoing sends (PR 6) alike.
+//! issue→settle window, equivalence with the retired blocking paths
+//! (frozen as golden logs), and the observability counters — for client
+//! replies (PR 5) and cross-domain outgoing sends (PR 6) alike.
 //!
 //! The pipeline moves the wait for durability off the worker thread and
 //! onto the *envelope*: `dispatch_reply` (and, for deep call chains,
@@ -12,9 +12,11 @@
 //! 1. an envelope parked between issue and settle is **never** released
 //!    if the MSP crashes first (the client's resend re-drives the
 //!    request through recovery instead), and
-//! 2. with identical traffic, the pipelined and blocking paths commit
-//!    identical session transcripts and byte-identical logs (modulo the
-//!    globally allocated session ids).
+//! 2. with the fixed traffic of `fixed_run` / `fixed_chain_run`, the
+//!    pipelined paths commit the session transcripts and byte-identical
+//!    logs (modulo the globally allocated session ids) that the blocking
+//!    paths committed at `b6fd725`, the last commit that had them; those
+//!    are frozen under `fixtures/pipeline_*.log`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,14 +29,13 @@ use msp_types::Lsn;
 use msp_wal::log::DATA_START;
 use msp_wal::{CrashPoint, DiskModel, FaultPlan, FlushPolicy, MemDisk, PhysicalLog};
 
-fn pipeline_world(blocking: bool) -> World {
+fn pipeline_world() -> World {
     World::start(WorldOptions {
         time_scale: 0.0,
         checkpoints_enabled: false,
         session_ckpt_threshold: u64::MAX,
         flush_mode: FlushMode::PerRequest,
         workers: 2,
-        blocking_durability: blocking,
         ..WorldOptions::new(SystemConfig::LoOptimistic)
     })
 }
@@ -47,7 +48,7 @@ fn pipeline_world(blocking: bool) -> World {
 /// before durability would surface here as a duplicated or lost counter.
 #[test]
 fn crash_between_issue_and_settle_never_releases_the_reply() {
-    let world = pipeline_world(false);
+    let world = pipeline_world();
     let plan = Arc::new(FaultPlan::new());
     plan.arm(CrashPoint::PreFlush, 3);
     let (ftx, frx) = crossbeam_channel::bounded(1);
@@ -111,8 +112,8 @@ fn canon_sessions(s: &str, map: &mut HashMap<u64, u64>) -> String {
 
 /// Scan a closed MSP disk into `record-debug@lsn` lines with canonical
 /// session ids. Keeping the LSN in the line makes the comparison
-/// byte-layout-strict: both paths must append the same records at the
-/// same offsets.
+/// byte-layout-strict: the run must append the golden records at the
+/// golden offsets.
 fn canonical_log(disk: &Arc<MemDisk>) -> Vec<String> {
     let log = PhysicalLog::open_at(
         Arc::clone(disk) as Arc<dyn msp_wal::Disk>,
@@ -140,8 +141,8 @@ fn canonical_log(disk: &Arc<MemDisk>) -> Vec<String> {
 /// One fixed single-client run: a few requests of varied fan-out, a
 /// session end, then more requests on the fresh session. Returns the
 /// client transcript and both canonicalized logs.
-fn fixed_run(blocking: bool) -> (Vec<u64>, Vec<String>, Vec<String>) {
-    let world = pipeline_world(blocking);
+fn fixed_run() -> (Vec<u64>, Vec<String>, Vec<String>) {
+    let world = pipeline_world();
     let mut c = world.client(1);
     let mut ks = Vec::new();
     for &m in &[1u8, 3, 2, 4] {
@@ -160,26 +161,49 @@ fn fixed_run(blocking: bool) -> (Vec<u64>, Vec<String>, Vec<String>) {
     (ks, canonical_log(&d1), canonical_log(&d2))
 }
 
-/// The pipeline is an ordering change, not a protocol change: identical
-/// traffic must commit the identical transcript and the identical record
-/// streams at the identical offsets on both durability paths.
-#[test]
-fn blocking_and_pipelined_paths_are_log_equivalent() {
-    let (ks_b, log1_b, log2_b) = fixed_run(true);
-    let (ks_p, log1_p, log2_p) = fixed_run(false);
-    assert_eq!(ks_b, vec![1, 2, 3, 4, 1, 2, 3], "blocking transcript");
-    assert_eq!(ks_p, ks_b, "pipelined transcript matches blocking");
-    assert_eq!(log1_p, log1_b, "MSP1 logs are equivalent");
-    assert_eq!(log2_p, log2_b, "MSP2 logs are equivalent");
+/// A fixture's form of one MSP's side of a fixed run: the client
+/// transcript on the first line, then the canonical log lines.
+fn golden_form(ks: &[u64], log: &[String]) -> String {
+    let ks: Vec<String> = ks.iter().map(u64::to_string).collect();
+    format!("transcript {}\n{}\n", ks.join(" "), log.join("\n"))
 }
 
-/// The counters the release stage exports: every committed reply on the
-/// pipelined path is an asynchronous release, the pending-gate gauge
-/// drains back to zero, and every issued flush ticket completes. The
-/// blocking path releases nothing asynchronously.
+/// Compare a fixed run against the golden logs dumped from the blocking
+/// side of the same run at `b6fd725` (where the pipelined side was
+/// confirmed equal to them).
+fn assert_matches_golden(run: (Vec<u64>, Vec<String>, Vec<String>), msp1: &str, msp2: &str) {
+    let (ks, log1, log2) = run;
+    // Line by line, so a mismatch names the first diverging record
+    // instead of dumping two whole logs.
+    for (got, want, msp) in [
+        (golden_form(&ks, &log1), msp1, "MSP1"),
+        (golden_form(&ks, &log2), msp2, "MSP2"),
+    ] {
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "{msp} golden log, line {}", i + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count(), "{msp} length");
+    }
+}
+
+/// The pipeline is an ordering change, not a protocol change: the fixed
+/// traffic must commit the transcript and the record streams, at the
+/// same offsets, that the blocking durability path committed.
+#[test]
+fn pipelined_reply_path_matches_golden_log() {
+    assert_matches_golden(
+        fixed_run(),
+        include_str!("fixtures/pipeline_reply_msp1.log"),
+        include_str!("fixtures/pipeline_reply_msp2.log"),
+    );
+}
+
+/// The counters the release stage exports: every committed reply is an
+/// asynchronous release, the pending-gate gauge drains back to zero, and
+/// every issued flush ticket completes.
 #[test]
 fn pipeline_counters_track_releases_and_drain() {
-    let world = pipeline_world(false);
+    let world = pipeline_world();
     let mut c = world.client(1);
     for i in 1..=6u64 {
         let r = c.call(MSP1, "ServiceMethod1", &request_payload(1)).unwrap();
@@ -208,19 +232,6 @@ fn pipeline_counters_track_releases_and_drain() {
         "every issued ticket settles once its watermark passes"
     );
     world.shutdown();
-
-    let world = pipeline_world(true);
-    let mut c = world.client(2);
-    for _ in 0..4 {
-        c.call(MSP1, "ServiceMethod1", &request_payload(1)).unwrap();
-    }
-    let s = world.msp1.stats().unwrap();
-    assert_eq!(
-        s.async_reply_releases, 0,
-        "blocking_durability keeps every release on the worker thread"
-    );
-    assert_eq!(s.gates_pending, 0);
-    world.shutdown();
 }
 
 // ---------------------------------------------------------------------
@@ -228,19 +239,15 @@ fn pipeline_counters_track_releases_and_drain() {
 // ---------------------------------------------------------------------
 
 /// The Pessimistic world: MSP1 and MSP2 in separate domains, so every
-/// `ServiceMethod1 → ServiceMethod2` hop is a pessimistic boundary.
-/// Replies stay pipelined (PR 5); `blocking_send` toggles only the
-/// outgoing-send flush between the blocking baseline and the
-/// gate-parked release path.
-fn chain_world(blocking_send: bool) -> World {
+/// `ServiceMethod1 → ServiceMethod2` hop is a pessimistic boundary
+/// whose outgoing send is gate-parked in the release stage.
+fn chain_world() -> World {
     World::start(WorldOptions {
         time_scale: 0.0,
         checkpoints_enabled: false,
         session_ckpt_threshold: u64::MAX,
         flush_mode: FlushMode::PerRequest,
         workers: 2,
-        blocking_durability: false,
-        blocking_send_durability: blocking_send,
         ..WorldOptions::new(SystemConfig::Pessimistic)
     })
 }
@@ -254,7 +261,7 @@ fn chain_world(blocking_send: bool) -> World {
 /// swallowed one as a wedged client.
 #[test]
 fn crash_in_parked_send_window_is_exactly_once() {
-    let world = chain_world(false);
+    let world = chain_world();
     let plan = Arc::new(FaultPlan::new());
     plan.arm(CrashPoint::SendGateIssue, 3);
     let (ftx, frx) = crossbeam_channel::bounded(1);
@@ -296,7 +303,7 @@ fn crash_in_parked_send_window_is_exactly_once() {
 /// must deduplicate at the restarted MSP2.
 #[test]
 fn callee_crash_under_parked_sends_is_exactly_once() {
-    let world = chain_world(false);
+    let world = chain_world();
     std::thread::scope(|s| {
         let world = &world;
         let t = s.spawn(move || {
@@ -352,8 +359,8 @@ fn deep_chain_torture_crashes_the_send_window_on_both_msps() {
 }
 
 /// One fixed single-client deep-chain run on the Pessimistic world.
-fn fixed_chain_run(blocking_send: bool) -> (Vec<u64>, Vec<String>, Vec<String>) {
-    let world = chain_world(blocking_send);
+fn fixed_chain_run() -> (Vec<u64>, Vec<String>, Vec<String>) {
+    let world = chain_world();
     let mut c = world.client(33);
     let mut ks = Vec::new();
     for &m in &[2u8, 4, 3, 2] {
@@ -372,27 +379,25 @@ fn fixed_chain_run(blocking_send: bool) -> (Vec<u64>, Vec<String>, Vec<String>) 
     (ks, canonical_log(&d1), canonical_log(&d2))
 }
 
-/// Send pipelining is an ordering change, not a protocol change: with
-/// identical deep-chain traffic, the blocking-send baseline and the
-/// gate-parked path must commit the identical transcript and the
-/// identical record streams at the identical offsets on both MSPs.
+/// Send pipelining is an ordering change, not a protocol change: the
+/// fixed deep-chain traffic must commit the transcript and the record
+/// streams, at the same offsets on both MSPs, that the blocking-send
+/// path committed.
 #[test]
-fn blocking_and_pipelined_send_paths_are_log_equivalent() {
-    let (ks_b, log1_b, log2_b) = fixed_chain_run(true);
-    let (ks_p, log1_p, log2_p) = fixed_chain_run(false);
-    assert_eq!(ks_b, vec![1, 2, 3, 4, 1, 2], "blocking-send transcript");
-    assert_eq!(ks_p, ks_b, "pipelined transcript matches blocking");
-    assert_eq!(log1_p, log1_b, "MSP1 logs are equivalent");
-    assert_eq!(log2_p, log2_b, "MSP2 logs are equivalent");
+fn pipelined_send_path_matches_golden_log() {
+    assert_matches_golden(
+        fixed_chain_run(),
+        include_str!("fixtures/pipeline_send_msp1.log"),
+        include_str!("fixtures/pipeline_send_msp2.log"),
+    );
 }
 
 /// The send-path counters: pipelined chains release sends
 /// asynchronously, the pending-send-gate gauge drains back to zero once
 /// traffic stops, and the per-hop wait accumulator ticks on every hop.
-/// The blocking-send baseline releases nothing asynchronously.
 #[test]
 fn send_pipeline_counters_track_releases_and_drain() {
-    let world = chain_world(false);
+    let world = chain_world();
     let mut c = world.client(34);
     for i in 1..=6u64 {
         let r = c.call(MSP1, "ServiceMethod1", &request_payload(3)).unwrap();
@@ -416,18 +421,5 @@ fn send_pipeline_counters_track_releases_and_drain() {
         );
         std::thread::sleep(Duration::from_millis(1));
     }
-    world.shutdown();
-
-    let world = chain_world(true);
-    let mut c = world.client(35);
-    for _ in 0..4 {
-        c.call(MSP1, "ServiceMethod1", &request_payload(3)).unwrap();
-    }
-    let s = world.msp1.stats().unwrap();
-    assert_eq!(
-        s.async_send_releases, 0,
-        "blocking_send_durability keeps every send flush on the worker"
-    );
-    assert_eq!(s.send_gates_pending, 0);
     world.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Cross-crate tests for the reservation-based WAL append pipeline:
 //! multi-threaded appends (monotone non-overlapping LSNs, no torn
 //! frames, crash-suffix semantics) and group-commit coalescing
-//! (N concurrent committers ≪ N device flushes; `serialized_append`
-//! reproduces the legacy one-flush-per-call baseline).
+//! (N concurrent committers ≪ N device flushes; the per-request policy
+//! keeps one flush per sequential commit).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -174,13 +174,9 @@ fn concurrent_committers_coalesce_into_few_device_flushes() {
 }
 
 #[test]
-fn serialized_append_reproduces_single_flush_per_call() {
+fn per_request_policy_flushes_once_per_sequential_commit() {
     let disk = MemDisk::new();
-    let log = open(
-        &disk,
-        DiskModel::zero(),
-        FlushPolicy::per_request().with_serialized_append(true),
-    );
+    let log = open(&disk, DiskModel::zero(), FlushPolicy::per_request());
     let n = 16u64;
     for i in 0..n {
         let lsn = log.append(&rec(1, i));
@@ -189,52 +185,32 @@ fn serialized_append_reproduces_single_flush_per_call() {
     let stats = log.stats();
     assert_eq!(
         stats.flushes, n,
-        "the legacy baseline performs exactly one device flush per commit"
+        "the paper's per-request baseline performs exactly one device flush per commit"
     );
-    assert_eq!(stats.append_reservations, 0);
+    assert_eq!(stats.append_reservations, n);
     log.close();
-
-    // The reservation pipeline under the same sequential commit pattern
-    // issues the identical number of device flushes.
-    let disk2 = MemDisk::new();
-    let log2 = open(&disk2, DiskModel::zero(), FlushPolicy::per_request());
-    for i in 0..n {
-        let lsn = log2.append(&rec(1, i));
-        log2.flush_to(lsn).unwrap();
-    }
-    assert_eq!(log2.stats().flushes, n, "flush parity for a fixed pattern");
-    assert_eq!(log2.stats().append_reservations, n);
-    log2.close();
 }
 
 #[test]
-fn reserved_and_serialized_recover_identical_state() {
-    // The same append+commit sequence through both pipelines must leave
-    // logically identical durable logs (same records, same scan order).
-    let run = |serialized: bool| -> Vec<LogRecord> {
-        let disk = MemDisk::new();
-        let log = open(
-            &disk,
-            DiskModel::zero(),
-            FlushPolicy::immediate().with_serialized_append(serialized),
-        );
-        for i in 0..20 {
-            let lsn = log.append(&rec(1, i));
-            if i % 4 == 3 {
-                log.flush_to(lsn).unwrap();
-            }
+fn close_and_reopen_scans_the_appended_records_in_order() {
+    // Appends with a commit every fourth record, a clean close, then a
+    // fresh open over the same disk: the scan must yield exactly the
+    // appended records, in append order.
+    let appended: Vec<LogRecord> = (0..20).map(|i| rec(1, i)).collect();
+    let disk = MemDisk::new();
+    let log = open(&disk, DiskModel::zero(), FlushPolicy::immediate());
+    for (i, r) in appended.iter().enumerate() {
+        let lsn = log.append(r);
+        if i % 4 == 3 {
+            log.flush_to(lsn).unwrap();
         }
-        log.close();
-        let log = open(&disk, DiskModel::zero(), FlushPolicy::immediate());
-        let recs: Vec<LogRecord> = log
-            .scan_from(Lsn(DATA_START))
-            .map(|r| r.unwrap().1)
-            .collect();
-        log.close();
-        recs
-    };
-    let a = run(false);
-    let b = run(true);
-    assert_eq!(a, b);
-    assert_eq!(a.len(), 20);
+    }
+    log.close();
+    let log = open(&disk, DiskModel::zero(), FlushPolicy::immediate());
+    let scanned: Vec<LogRecord> = log
+        .scan_from(Lsn(DATA_START))
+        .map(|r| r.unwrap().1)
+        .collect();
+    log.close();
+    assert_eq!(scanned, appended);
 }

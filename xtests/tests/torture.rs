@@ -156,17 +156,3 @@ fn session_churn_on_baseline_configs() {
         assert!(report.requests > 0, "storm drove no traffic: {report}");
     }
 }
-
-/// The pre-pipeline blocking durability path stays green under the same
-/// storm — it shares the gate machinery with the pipeline, parked on the
-/// worker thread instead of the release stage.
-#[test]
-fn blocking_durability_baseline_survives_the_storm() {
-    for shape in [WorkloadShape::Default, WorkloadShape::SessionChurn] {
-        let mut opts = storm_opts(5, SystemConfig::LoOptimistic);
-        opts.shape = shape;
-        opts.blocking_durability = true;
-        let report = run(&opts);
-        assert!(report.crashes > 0, "storm injected no crashes: {report}");
-    }
-}
