@@ -232,9 +232,11 @@ impl MspConfig {
         self
     }
 
+    /// # Panics
+    /// If `scale` is negative or not finite.
     #[must_use]
     pub fn with_time_scale(mut self, scale: f64) -> MspConfig {
-        self.time_scale = scale;
+        self.time_scale = msp_types::checked_time_scale(scale);
         self
     }
 
@@ -316,6 +318,20 @@ mod tests {
         assert!(cfg.scaled_busy_backoff() > Duration::ZERO);
         let cfg = MspConfig::new(MspId(1), DomainId(1)).with_time_scale(0.02);
         assert_eq!(cfg.scaled_busy_backoff(), Duration::from_millis(2));
+    }
+
+    #[test]
+    fn every_model_rejects_a_time_scale_that_mul_f64_would_panic_on() {
+        use std::panic::catch_unwind;
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = catch_unwind(|| MspConfig::new(MspId(1), DomainId(1)).with_time_scale(bad));
+            let disk = catch_unwind(|| msp_wal::DiskModel::default().with_scale(bad));
+            let net = catch_unwind(|| msp_net::NetModel::default().with_scale(bad));
+            assert!(
+                cfg.is_err() && disk.is_err() && net.is_err(),
+                "scale {bad} accepted"
+            );
+        }
     }
 
     #[test]

@@ -53,9 +53,11 @@ impl NetModel {
         }
     }
 
+    /// # Panics
+    /// If `scale` is negative or not finite.
     #[must_use]
     pub fn with_scale(mut self, scale: f64) -> NetModel {
-        self.time_scale = scale;
+        self.time_scale = msp_types::checked_time_scale(scale);
         self
     }
 

@@ -189,10 +189,13 @@ impl<M: Send + Clone + 'static> Network<M> {
             s.stats.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.enqueue(to, msg.clone(), model.delay(j1));
-        if duplicated {
+        // The original is enqueued first so its `seq` stays below the
+        // duplicate's.
+        let dup = duplicated.then(|| msg.clone());
+        self.enqueue(to, msg, model.delay(j1));
+        if let Some(dup) = dup {
             s.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            self.enqueue(to, msg, model.delay(j2));
+            self.enqueue(to, dup, model.delay(j2));
         }
     }
 
@@ -259,15 +262,18 @@ fn postman_loop<M: Send>(shared: Arc<Shared<M>>) {
             }
         };
         if let Some(item) = due {
-            let tx = shared.mailboxes.lock().get(&item.to).cloned();
-            match tx {
-                Some(tx) if tx.send(item.msg).is_ok() => {
-                    shared.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {
-                    shared.stats.dead_letter.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            // The mailbox is unbounded, so the send cannot block under
+            // the guard.
+            let delivered = match shared.mailboxes.lock().get(&item.to) {
+                Some(tx) => tx.send(item.msg).is_ok(),
+                None => false,
+            };
+            let counter = if delivered {
+                &shared.stats.delivered
+            } else {
+                &shared.stats.dead_letter
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -363,6 +369,37 @@ mod tests {
         assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap(), 5);
         assert_eq!(net.stats().duplicated, 1);
         net.shutdown();
+    }
+
+    /// Counts its own clones.
+    struct Counted(Arc<AtomicU64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Counted(Arc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn send_clones_only_for_a_duplicate() {
+        for (dup_prob, clones_per_send) in [(0.0, 0), (1.0, 1)] {
+            let net: Network<Counted> =
+                Network::new(NetModel::zero().with_faults(0.0, dup_prob), 1);
+            let a = net.register(msp(1));
+            let b = net.register(msp(2));
+            let clones = Arc::new(AtomicU64::new(0));
+            for _ in 0..10 {
+                a.send(msp(2), Counted(Arc::clone(&clones)));
+            }
+            for _ in 0..10 * (1 + clones_per_send) {
+                b.recv_timeout(Duration::from_secs(1))
+                    .expect("every copy arrives");
+            }
+            assert!(b.recv_timeout(Duration::from_millis(20)).is_err());
+            assert_eq!(clones.load(Ordering::SeqCst), 10 * clones_per_send);
+            net.shutdown();
+        }
     }
 
     #[test]

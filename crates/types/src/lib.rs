@@ -29,3 +29,18 @@ pub use dv::DependencyVector;
 pub use error::{CodecError, MspError, MspResult};
 pub use ids::{DomainId, Epoch, Lsn, MspId, RequestSeq, SessionId, StateId, VarId};
 pub use knowledge::{RecoveryKnowledge, RecoveryRecord};
+
+/// The `time_scale` convention shared by the disk, network and protocol
+/// models: a finite multiplier ≥ 0 on every modelled delay (0 disables
+/// them). Anything else would panic later inside `Duration::mul_f64`, on
+/// whichever thread first charged a delay; reject it where it is set.
+///
+/// # Panics
+/// If `scale` is negative, NaN or infinite.
+pub fn checked_time_scale(scale: f64) -> f64 {
+    assert!(
+        scale.is_finite() && scale >= 0.0,
+        "time_scale must be finite and >= 0 (0 disables modelled delays), got {scale}"
+    );
+    scale
+}

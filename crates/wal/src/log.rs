@@ -763,12 +763,12 @@ impl PhysicalLog {
             if let Some(t) = policy.batch_timeout {
                 // Batch flushing (§5.5): delay so several requests are
                 // served by one device write.
-                crate::model::sleep_exact(t.mul_f64(self.model.time_scale.max(0.0)));
+                crate::model::sleep_exact(self.model.scaled(t));
             } else if policy.group_commit {
                 if let Some(w) = policy.group_commit_window {
                     // Hold the device briefly so commits arriving while
                     // this flush is being assembled join it.
-                    crate::model::sleep_exact(w.mul_f64(self.model.time_scale.max(0.0)));
+                    crate::model::sleep_exact(self.model.scaled(w));
                 }
             }
             // Absorb every request that queued up behind the first; one

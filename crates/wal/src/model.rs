@@ -17,7 +17,9 @@
 //! finish quickly while preserving every ratio; `time_scale = 0` disables
 //! sleeping entirely (unit tests).
 
-use std::time::Duration;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use crate::log::SECTOR_SIZE;
 
@@ -73,9 +75,12 @@ impl DiskModel {
     }
 
     /// With a different time scale.
+    ///
+    /// # Panics
+    /// If `scale` is negative or not finite.
     #[must_use]
     pub fn with_scale(mut self, scale: f64) -> DiskModel {
-        self.time_scale = scale;
+        self.time_scale = msp_types::checked_time_scale(scale);
         self
     }
 
@@ -84,7 +89,8 @@ impl DiskModel {
         Duration::from_secs_f64(60.0 / f64::from(self.rpm))
     }
 
-    fn scaled(&self, d: Duration) -> Duration {
+    /// `d` of paper time at this model's scale.
+    pub(crate) fn scaled(&self, d: Duration) -> Duration {
         d.mul_f64(self.time_scale)
     }
 
@@ -133,20 +139,117 @@ impl DiskModel {
     }
 }
 
-/// Sleep that stays reasonably accurate for sub-millisecond durations by
-/// finishing with a short spin. OS sleep granularity would otherwise
-/// distort scaled-down latencies.
-pub fn sleep_exact(d: Duration) {
-    if d.is_zero() {
-        return;
+/// Ceiling of the per-thread wake-up margin, and its value before the
+/// thread has slept once: a thread whose sleeps return no later than this
+/// is never late, and one whose sleeps return later still spins no more
+/// than this per wait.
+const MARGIN_CAP_NANOS: u64 = 150_000;
+
+/// How far one observed wake-up moves the margin.
+const MARGIN_STEP_NANOS: u64 = 2_000;
+
+thread_local! {
+    /// This thread's estimate of how late the OS returns from
+    /// `thread::sleep`: a running median of the observed overshoot.
+    static MARGIN_NANOS: Cell<u64> = const { Cell::new(MARGIN_CAP_NANOS) };
+}
+
+/// One step of the running median: towards `overshoot` by a fixed amount,
+/// whatever its size, so a single scheduler hiccup of milliseconds moves
+/// the estimate no further than an overshoot one microsecond above it.
+fn step_margin(margin: u64, overshoot: u64) -> u64 {
+    if overshoot > margin {
+        (margin + MARGIN_STEP_NANOS).min(MARGIN_CAP_NANOS)
+    } else {
+        margin.saturating_sub(MARGIN_STEP_NANOS)
     }
-    let start = std::time::Instant::now();
-    // Sleep for the bulk, spin for the tail.
-    if d > Duration::from_micros(200) {
-        std::thread::sleep(d - Duration::from_micros(150));
+}
+
+/// Where one modelled wait's time went.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Wait {
+    slept: Duration,
+    spun: Duration,
+    late: Duration,
+}
+
+/// Block until `deadline`: sleep to `deadline` minus this thread's margin,
+/// learn from how late that sleep returned, spin the rest. `None` if the
+/// deadline had already passed.
+fn wait_until(deadline: Instant) -> Option<Wait> {
+    let start = Instant::now();
+    let remaining = deadline
+        .checked_duration_since(start)
+        .filter(|r| !r.is_zero())?;
+    let mut wait = Wait::default();
+    let mut now = start;
+    let margin = MARGIN_NANOS.get();
+    if remaining > Duration::from_nanos(margin) {
+        let ask = remaining - Duration::from_nanos(margin);
+        std::thread::sleep(ask);
+        now = Instant::now();
+        wait.slept = now - start;
+        let overshoot = wait.slept.saturating_sub(ask).as_nanos() as u64;
+        MARGIN_NANOS.set(step_margin(margin, overshoot));
     }
-    while start.elapsed() < d {
+    let spin_from = now;
+    while now < deadline {
         std::hint::spin_loop();
+        now = Instant::now();
+    }
+    wait.spun = now - spin_from;
+    wait.late = now - deadline;
+    Some(wait)
+}
+
+static WAITS: AtomicU64 = AtomicU64::new(0);
+static SLEPT_NANOS: AtomicU64 = AtomicU64::new(0);
+static SPUN_NANOS: AtomicU64 = AtomicU64::new(0);
+static LATE_NANOS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide totals over every non-zero modelled wait since start-up.
+/// Per wait: `slept_nanos` in `thread::sleep`, `spun_nanos` busy-waiting
+/// for the deadline after it, `late_nanos` past the deadline on return.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaitStatsSnapshot {
+    pub waits: u64,
+    pub slept_nanos: u64,
+    pub spun_nanos: u64,
+    pub late_nanos: u64,
+}
+
+/// Snapshot of the wait counters; subtract two to get an interval.
+pub fn wait_stats() -> WaitStatsSnapshot {
+    WaitStatsSnapshot {
+        waits: WAITS.load(Ordering::Relaxed),
+        slept_nanos: SLEPT_NANOS.load(Ordering::Relaxed),
+        spun_nanos: SPUN_NANOS.load(Ordering::Relaxed),
+        late_nanos: LATE_NANOS.load(Ordering::Relaxed),
+    }
+}
+
+/// Block the calling thread until `deadline`: the one way modelled time
+/// passes. Never returns early. The OS sleeps for all but a margin that
+/// each thread learns from its own wake-ups (the median lateness of
+/// `thread::sleep`, at most 150 µs) and only that residual is spun, so a
+/// wait costs a few microseconds of CPU and ends a few microseconds late
+/// instead of burning a fixed margin to end on time. Waits shorter than
+/// the margin spin in full; a deadline already past returns at once.
+pub fn sleep_until(deadline: Instant) {
+    let Some(wait) = wait_until(deadline) else {
+        return;
+    };
+    WAITS.fetch_add(1, Ordering::Relaxed);
+    SLEPT_NANOS.fetch_add(wait.slept.as_nanos() as u64, Ordering::Relaxed);
+    SPUN_NANOS.fetch_add(wait.spun.as_nanos() as u64, Ordering::Relaxed);
+    LATE_NANOS.fetch_add(wait.late.as_nanos() as u64, Ordering::Relaxed);
+}
+
+/// [`sleep_until`] `d` from now. A zero wait returns before the clock is
+/// read (`time_scale` 0 must cost nothing).
+pub fn sleep_exact(d: Duration) {
+    if !d.is_zero() {
+        sleep_until(Instant::now() + d);
     }
 }
 
@@ -212,12 +315,107 @@ mod tests {
     }
 
     #[test]
-    fn sleep_exact_is_close() {
+    fn waits_never_return_early() {
+        for micros in [50, 154, 300, 900] {
+            for _ in 0..500 {
+                let deadline = Instant::now() + Duration::from_micros(micros);
+                sleep_until(deadline);
+                assert!(
+                    Instant::now() >= deadline,
+                    "{micros} us wait returned early"
+                );
+            }
+        }
         let d = Duration::from_micros(300);
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         sleep_exact(d);
-        let elapsed = t0.elapsed();
-        assert!(elapsed >= d);
-        assert!(elapsed < d * 20, "sleep overshot badly: {elapsed:?}");
+        assert!(t0.elapsed() >= d);
+    }
+
+    #[test]
+    fn calibrated_waits_end_close_to_their_deadline() {
+        // The property is that a calibrated thread is punctual when it
+        // gets the core. A wake-up that waited a scheduler slice for a
+        // busy core (other tests, a loaded host) is milliseconds late
+        // under any margin and a handful of them are the whole mean, so
+        // each round leaves out its latest tenth; an uncalibrated thread
+        // (margin 0) is late by the full overshoot, 75–100 µs, on every
+        // wait.
+        let d = Duration::from_micros(300);
+        let mut means = Vec::new();
+        for _ in 0..3 {
+            for _ in 0..50 {
+                sleep_exact(d);
+            }
+            let mut late: Vec<Duration> = (0..300)
+                .map(|_| {
+                    let deadline = Instant::now() + d;
+                    sleep_until(deadline);
+                    deadline.elapsed()
+                })
+                .collect();
+            late.sort_unstable();
+            let kept = &late[..270];
+            let mean = kept.iter().sum::<Duration>() / kept.len() as u32;
+            if mean <= Duration::from_micros(60) {
+                return;
+            }
+            means.push(mean);
+        }
+        panic!(
+            "mean lateness of 300 us waits, latest tenth left out, over three rounds: {means:?}"
+        );
+    }
+
+    #[test]
+    fn one_hiccup_moves_the_margin_one_step() {
+        let hiccup = 5_000_000;
+        for margin in [0, 10_000, 75_000, MARGIN_CAP_NANOS - 1, MARGIN_CAP_NANOS] {
+            let next = step_margin(margin, hiccup);
+            assert!(next >= margin && next - margin <= MARGIN_STEP_NANOS);
+            assert!(next <= MARGIN_CAP_NANOS);
+        }
+        // A run of them saturates at the cap, and punctual wake-ups bring
+        // the margin back down to zero and no further.
+        let mut margin = 0;
+        for _ in 0..1000 {
+            margin = step_margin(margin, hiccup);
+        }
+        assert_eq!(margin, MARGIN_CAP_NANOS);
+        for _ in 0..1000 {
+            margin = step_margin(margin, 0);
+        }
+        assert_eq!(margin, 0);
+    }
+
+    #[test]
+    fn zero_and_sub_margin_waits_do_not_sleep() {
+        // On a thread of its own: the margin starts at the cap.
+        std::thread::spawn(|| {
+            assert_eq!(wait_until(Instant::now()), None);
+            let short = Duration::from_nanos(MARGIN_CAP_NANOS / 3);
+            let wait = wait_until(Instant::now() + short).expect("deadline ahead");
+            assert_eq!(wait.slept, Duration::ZERO);
+            assert!(wait.spun > Duration::ZERO);
+            assert_eq!(MARGIN_NANOS.get(), MARGIN_CAP_NANOS, "no sleep, no sample");
+            // A wait longer than the margin does sleep.
+            let wait = wait_until(Instant::now() + 4 * short).expect("deadline ahead");
+            assert!(wait.slept > Duration::ZERO);
+        })
+        .join()
+        .expect("wait thread");
+    }
+
+    #[test]
+    fn wait_stats_account_for_a_wait() {
+        // Process-wide counters and tests run in parallel: lower bounds only.
+        let d = Duration::from_micros(300);
+        let before = wait_stats();
+        sleep_exact(d);
+        let after = wait_stats();
+        assert!(after.waits > before.waits);
+        let waited =
+            (after.slept_nanos - before.slept_nanos) + (after.spun_nanos - before.spun_nanos);
+        assert!(u128::from(waited) >= d.as_nanos() / 2);
     }
 }
