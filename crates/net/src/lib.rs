@@ -12,10 +12,13 @@
 //!   disk model in `msp-wal`). The paper's measured round trips (3.596 ms
 //!   MSP↔MSP, 3.9 ms client↔MSP) are the defaults.
 //! * [`Network`] — the switch: registration, per-link overrides,
-//!   partitions, and a postman thread that delivers messages after their
-//!   simulated latency (jitter naturally reorders them).
+//!   partitions, and one deadline-ordered inbox per address into which
+//!   `send` pushes each message with its simulated delivery time (jitter
+//!   naturally reorders them). No thread of its own: the receiver takes a
+//!   message once it falls due.
 //! * [`Endpoint`] — a registered party's handle: `send` + blocking
-//!   `recv_timeout`.
+//!   `recv_timeout`, which waits in the receiving thread until the head
+//!   of its inbox falls due.
 //!
 //! The message type is generic: the recovery protocols in `msp-core`
 //! define their own envelope enum and instantiate `Network<Envelope>`.

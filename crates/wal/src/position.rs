@@ -133,6 +133,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "strictly increasing")]
     fn out_of_order_push_panics_in_debug() {
         let mut s = stream(&[10]);

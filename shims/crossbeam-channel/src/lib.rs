@@ -5,15 +5,26 @@
 //! relies on cloned receivers for worker pools), the error types with
 //! crossbeam's names, and a polling `select!` macro covering the
 //! `recv(rx) -> pat => expr` arm form used here.
+//!
+//! Wake discipline, as in the real crate: a send notifies only when a
+//! receiver is blocked, and a receive only when a sender is blocked (which
+//! needs a full bounded channel). Both counts live under the queue mutex,
+//! so a waiter is counted before it can miss a notification.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+struct State<T> {
+    queue: VecDeque<T>,
+    blocked_receivers: usize,
+    blocked_senders: usize,
+}
+
 struct Shared<T> {
-    queue: Mutex<VecDeque<T>>,
+    state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
     senders: AtomicUsize,
@@ -22,8 +33,32 @@ struct Shared<T> {
 }
 
 impl<T> Shared<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Push `value` and wake a receiver if one is blocked.
+    fn push(&self, mut st: MutexGuard<'_, State<T>>, value: T) {
+        st.queue.push_back(value);
+        let wake = st.blocked_receivers > 0;
+        drop(st);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Pop the front item and wake a sender if one is blocked; hands the
+    /// guard back when the queue is empty.
+    fn pop<'a>(&self, mut st: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+        let Some(v) = st.queue.pop_front() else {
+            return Err(st);
+        };
+        let wake = st.blocked_senders > 0;
+        drop(st);
+        if wake {
+            self.not_full.notify_one();
+        }
+        Ok(v)
     }
 }
 
@@ -45,7 +80,11 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 
 fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            blocked_receivers: 0,
+            blocked_senders: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
         senders: AtomicUsize::new(1),
@@ -100,70 +139,72 @@ impl<T> Drop for Receiver<T> {
 
 impl<T> Sender<T> {
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut queue = self.shared.lock();
+        let mut st = self.shared.lock();
         loop {
             if self.shared.receivers.load(Ordering::SeqCst) == 0 {
                 return Err(SendError(value));
             }
             match self.shared.capacity {
-                Some(cap) if queue.len() >= cap => {
-                    queue = self
+                Some(cap) if st.queue.len() >= cap => {
+                    st.blocked_senders += 1;
+                    st = self
                         .shared
                         .not_full
-                        .wait(queue)
+                        .wait(st)
                         .unwrap_or_else(PoisonError::into_inner);
+                    st.blocked_senders -= 1;
                 }
                 _ => break,
             }
         }
-        queue.push_back(value);
-        self.shared.not_empty.notify_one();
+        self.shared.push(st, value);
         Ok(())
     }
 
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-        let mut queue = self.shared.lock();
+        let st = self.shared.lock();
         if self.shared.receivers.load(Ordering::SeqCst) == 0 {
             return Err(TrySendError::Disconnected(value));
         }
         if let Some(cap) = self.shared.capacity {
-            if queue.len() >= cap {
+            if st.queue.len() >= cap {
                 return Err(TrySendError::Full(value));
             }
         }
-        queue.push_back(value);
-        self.shared.not_empty.notify_one();
+        self.shared.push(st, value);
         Ok(())
     }
 }
 
 impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut queue = self.shared.lock();
+        let mut st = self.shared.lock();
         loop {
-            if let Some(v) = queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.shared.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if self.shared.senders.load(Ordering::SeqCst) == 0 {
                 return Err(RecvError);
             }
-            queue = self
+            st.blocked_receivers += 1;
+            st = self
                 .shared
                 .not_empty
-                .wait(queue)
+                .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+            st.blocked_receivers -= 1;
         }
     }
 
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now() + timeout;
-        let mut queue = self.shared.lock();
+        let mut st = self.shared.lock();
         loop {
-            if let Some(v) = queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(v);
-            }
+            st = match self.shared.pop(st) {
+                Ok(v) => return Ok(v),
+                Err(st) => st,
+            };
             if self.shared.senders.load(Ordering::SeqCst) == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -171,21 +212,22 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let (guard, _result) = self
+            st.blocked_receivers += 1;
+            st = self
                 .shared
                 .not_empty
-                .wait_timeout(queue, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            queue = guard;
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+            st.blocked_receivers -= 1;
         }
     }
 
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut queue = self.shared.lock();
-        if let Some(v) = queue.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(v);
-        }
+        let _st = match self.shared.pop(self.shared.lock()) {
+            Ok(v) => return Ok(v),
+            Err(st) => st,
+        };
         if self.shared.senders.load(Ordering::SeqCst) == 0 {
             return Err(TryRecvError::Disconnected);
         }
@@ -193,11 +235,11 @@ impl<T> Receiver<T> {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shared.lock().is_empty()
+        self.shared.lock().queue.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.shared.lock().len()
+        self.shared.lock().queue.len()
     }
 }
 
@@ -412,6 +454,112 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         t.join().unwrap();
+    }
+
+    #[test]
+    fn mpmc_stress_receives_every_item_exactly_once() {
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: usize = 4;
+        const ITEMS: u64 = 10_000;
+        const WAIT: Duration = Duration::from_secs(1);
+        let (tx, rx) = unbounded::<u64>();
+        let received = Arc::new(AtomicUsize::new(0));
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let (rx, received) = (rx.clone(), Arc::clone(&received));
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    loop {
+                        // A wait that runs to its timeout while an item is
+                        // queued slept through that item's send.
+                        let started = Instant::now();
+                        match rx.recv_timeout(WAIT) {
+                            Ok(v) => {
+                                assert!(started.elapsed() < WAIT, "slept through a send");
+                                got.push(v);
+                                received.fetch_add(1, Ordering::SeqCst);
+                            }
+                            Err(RecvTimeoutError::Disconnected) => return got,
+                            Err(RecvTimeoutError::Timeout) => {
+                                assert!(rx.is_empty(), "timed out with items queued");
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(rx);
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for i in 0..ITEMS {
+                        tx.send(p * ITEMS + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        // The channel stays connected until every item is taken, so the
+        // disconnect's wake-up cannot stand in for a lost send wake-up.
+        let total = (PRODUCERS * ITEMS) as usize;
+        while received.load(Ordering::SeqCst) < total && !consumers.iter().all(|c| c.is_finished())
+        {
+            thread::sleep(Duration::from_millis(1));
+        }
+        drop(tx);
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..PRODUCERS * ITEMS).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_recv_releases_a_sender_blocked_on_a_full_channel() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let (done_tx, done_rx) = unbounded();
+        let t = thread::spawn(move || {
+            tx.send(2).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        while rx.shared.lock().blocked_senders == 0 {
+            thread::yield_now();
+        }
+        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(
+            done_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(()),
+            "the blocked sender was not released"
+        );
+        t.join().unwrap();
+        assert_eq!(rx.try_recv(), Ok(2));
+    }
+
+    #[test]
+    fn try_send_on_a_full_channel_is_full() {
+        let (tx, rx) = bounded(1);
+        tx.try_send(1).unwrap();
+        assert!(matches!(tx.try_send(2), Err(TrySendError::Full(2))));
+        assert_eq!(rx.recv(), Ok(1));
+        tx.try_send(3).unwrap();
+    }
+
+    #[test]
+    fn dropping_the_last_sender_wakes_a_blocked_recv() {
+        let (tx, rx) = unbounded::<u32>();
+        let tx2 = tx.clone();
+        let t = thread::spawn(move || rx.recv());
+        while tx.shared.lock().blocked_receivers == 0 {
+            thread::yield_now();
+        }
+        drop(tx);
+        drop(tx2);
+        assert_eq!(t.join().unwrap(), Err(RecvError));
     }
 
     #[test]
