@@ -247,7 +247,8 @@ impl MspInner {
     /// should replay (pre-ordered, with their window spans).
     pub(crate) fn crash_recover(&self) -> MspResult<RecoveryOutcome> {
         let log = self.log();
-        if log.durable_lsn().0 <= DATA_START && log.end_lsn().0 <= DATA_START {
+        if log.is_blank()? {
+            log.resume_at(Lsn(DATA_START));
             // First boot. Make incarnation 0 durable before serving:
             // without this marker, a crash before our first data flush
             // leaves an empty durable log again, the next boot cannot
@@ -304,17 +305,11 @@ impl MspInner {
         //    bound checkpointing already puts on a replay window; a
         //    longer window (checkpoints off) keeps positions only past
         //    the cap and reads that tail through the replay pool built
-        //    here. Records recovery appends from here on land past the
-        //    pool's limit (the crash-time durable end) and fall back to
-        //    direct log reads. The parallel engine streams chunks off the
+        //    after the scan. The parallel engine streams chunks off the
         //    disk in a prefetch stage so decode overlaps I/O; the serial
         //    baseline alternates read/decode, retains nothing and replays
         //    from the log — the independent oracle for all of the above.
         let serial = self.cfg.serial_recovery;
-        if !serial {
-            let pool = Arc::new(msp_wal::BufferPool::new(self.cfg.replay_cache_blocks));
-            *self.replay_cache.lock() = Some(Arc::new(WalReplayCache::with_pool(log, &pool)));
-        }
         let cap = self.cfg.logging.session_ckpt_threshold;
         let mut sessions: HashMap<SessionId, ScannedSession> = HashMap::new();
         let mut ended: HashSet<SessionId> = HashSet::new();
@@ -449,10 +444,21 @@ impl MspInner {
         // runtime tombstones so no late traffic can resurrect them.
         self.ended_sessions.lock().extend(ended.iter().copied());
 
-        // 3. The largest persistent LSN bounds what survived; everything
-        //    at or beyond the scan end is lost.
-        let recovered_lsn = Lsn(scan.position().0.saturating_sub(1));
+        // 3. The scan stopped at the first torn or absent frame: that is
+        //    the log's append point, handed to the log here because it
+        //    was opened unpositioned (no walk of its own), and everything
+        //    at or beyond it is lost. The largest persistent LSN, just
+        //    below it, bounds what survived. Records recovery appends from
+        //    here on land past the replay pool's limit (this end) and fall
+        //    back to direct log reads.
+        let end = scan.position();
         drop(scan);
+        log.resume_at(end);
+        let recovered_lsn = Lsn(end.0.saturating_sub(1));
+        if !serial {
+            let pool = Arc::new(msp_wal::BufferPool::new(self.cfg.replay_cache_blocks));
+            *self.replay_cache.lock() = Some(Arc::new(WalReplayCache::with_pool(log, &pool)));
+        }
         self.stats
             .recovery_analysis_nanos
             .store(t_analysis.elapsed().as_nanos() as u64, Ordering::Relaxed);

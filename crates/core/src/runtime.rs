@@ -2081,8 +2081,10 @@ impl MspBuilder {
                 )));
             }
             let anchor = LogAnchor::new(Arc::clone(&disks[0]), self.disk_model.clone());
+            // A single log opens unpositioned: `crash_recover` resumes it
+            // where its analysis scan ends, so the log is read once.
             let log = if self.cfg.log_stripes == 0 {
-                Wal::Single(PhysicalLog::open(
+                Wal::Single(PhysicalLog::open_unpositioned(
                     Arc::clone(&disks[0]),
                     self.disk_model.clone(),
                     self.flush_policy,

@@ -1,16 +1,21 @@
 //! Edge cases of the recovery machinery: checkpoint-bounded scans, forced
 //! checkpoints of idle sessions, shared-variable chain breaks, repeated
-//! crashes, flush-request verdicts about old epochs.
+//! crashes, flush-request verdicts about old epochs, and where a recovered
+//! log resumes appending.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use msp_core::client::ClientOptions;
 use msp_core::config::LoggingConfig;
-use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig};
+use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig, MspHandle};
 use msp_net::{NetModel, Network};
-use msp_types::{DomainId, MspId};
-use msp_wal::{DiskModel, MemDisk};
+use msp_types::{DomainId, Epoch, Lsn, MspId};
+use msp_wal::log::{DATA_START, SCAN_CHUNK};
+use msp_wal::{
+    read_floor, CrashPoint, Disk, DiskModel, FaultPlan, FlushPolicy, LogAnchor, LogRecord, MemDisk,
+    PhysicalLog,
+};
 
 const M1: MspId = MspId(1);
 
@@ -29,11 +34,7 @@ fn logging(session_threshold: u64) -> LoggingConfig {
     }
 }
 
-fn start(
-    net: &Network<Envelope>,
-    disk: Arc<MemDisk>,
-    session_threshold: u64,
-) -> msp_core::MspHandle {
+fn start(net: &Network<Envelope>, disk: Arc<MemDisk>, session_threshold: u64) -> MspHandle {
     start_ckpt(net, disk, session_threshold, true)
 }
 
@@ -42,9 +43,13 @@ fn start_ckpt(
     disk: Arc<MemDisk>,
     session_threshold: u64,
     checkpoints_enabled: bool,
-) -> msp_core::MspHandle {
+) -> MspHandle {
     let mut lg = logging(session_threshold);
     lg.checkpoints_enabled = checkpoints_enabled;
+    start_with(net, disk, lg)
+}
+
+fn start_with(net: &Network<Envelope>, disk: Arc<MemDisk>, lg: LoggingConfig) -> MspHandle {
     MspBuilder::new(
         MspConfig::new(M1, DomainId(1))
             .with_time_scale(0.0)
@@ -219,10 +224,12 @@ fn checkpoint_bounds_the_analysis_scan() {
 fn sessions_recover_in_parallel_after_crash() {
     // Several sessions with un-checkpointed history; after the crash all
     // must be replayed (scheduled across the worker pool) and continue
-    // exactly-once.
+    // exactly-once. Checkpoints are off: with them on, the 15 ms
+    // checkpointer force-checkpoints sessions whenever the calls below
+    // take longer than two ticks, and fewer requests are replayed.
     let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
     let disk = Arc::new(MemDisk::new());
-    let msp = start(&net, Arc::clone(&disk), u64::MAX);
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
     let mut clients: Vec<MspClient> = (0..6)
         .map(|i| {
             MspClient::new(
@@ -242,7 +249,7 @@ fn sessions_recover_in_parallel_after_crash() {
         }
     }
     msp.crash();
-    let msp = start(&net, Arc::clone(&disk), u64::MAX);
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
     // All six sessions were rebuilt and replayed (requests block until
     // each session's async replay completes).
     assert_eq!(msp.session_count(), 6);
@@ -250,6 +257,230 @@ fn sessions_recover_in_parallel_after_crash() {
         assert_eq!(call_u64(c, "tick"), 11);
     }
     assert_eq!(msp.stats().replayed_requests, 60);
+    msp.shutdown();
+    net.shutdown();
+}
+
+/// A torn frame: frame magic and a length the bytes behind it cannot
+/// cover, so the scanner ends the stream here.
+const TORN_FRAME: [u8; 10] = [0xA5, 100, 0, 0, 0, 1, 2, 3, 4, 42];
+
+fn open_log(disk: &Arc<MemDisk>) -> Arc<PhysicalLog> {
+    PhysicalLog::open(
+        Arc::clone(disk) as Arc<dyn Disk>,
+        DiskModel::zero(),
+        FlushPolicy::immediate(),
+    )
+    .unwrap()
+}
+
+/// Every record from the reclaim floor on, with its LSN, read without
+/// positioning the log.
+fn scan_all(disk: &Arc<MemDisk>) -> Vec<(Lsn, LogRecord)> {
+    let log = PhysicalLog::open_unpositioned(
+        Arc::clone(disk) as Arc<dyn Disk>,
+        DiskModel::zero(),
+        FlushPolicy::immediate(),
+    )
+    .unwrap();
+    log.scan_from(Lsn(DATA_START))
+        .map(|item| item.unwrap())
+        .collect()
+}
+
+fn await_recovery(msp: &MspHandle) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !msp.recovery_complete() {
+        assert!(Instant::now() < deadline, "recovery did not complete");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn fully_truncated_log_recovers_as_a_crash() {
+    // A persisted floor at the durable end leaves no frame above the
+    // floor — but the floor says a log was there, so the restart is a
+    // crash recovery into a new epoch, not a first boot at epoch 0.
+    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+    let disk = Arc::new(MemDisk::new());
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
+    let mut c = client(&net);
+    for i in 1..=3u64 {
+        assert_eq!(call_u64(&mut c, "tick"), i);
+    }
+    msp.shutdown();
+    let end = {
+        let log = open_log(&disk);
+        let end = log.durable_lsn();
+        log.truncate_below(end).unwrap();
+        log.close();
+        end
+    };
+    assert_eq!(read_floor(disk.as_ref()).unwrap(), Some(end.0));
+    assert!(
+        scan_all(&disk).is_empty(),
+        "nothing survives above the floor"
+    );
+
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
+    assert_eq!(msp.epoch(), Epoch(1), "the epoch advances");
+    assert_eq!(msp.stats().crash_recoveries, 1, "not the first-boot path");
+    msp.crash();
+    // The recovery resumed the log at the floor, where the next scan
+    // finds its RecoveryComplete.
+    let recovered = scan_all(&disk);
+    assert!(matches!(
+        recovered.first(),
+        Some((lsn, LogRecord::RecoveryComplete { new_epoch: Epoch(1), .. })) if *lsn == end
+    ));
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
+    assert_eq!(msp.epoch(), Epoch(2));
+    msp.shutdown();
+    net.shutdown();
+}
+
+#[test]
+fn torn_first_frame_on_a_never_truncated_disk_is_a_first_boot() {
+    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+    let disk = Arc::new(MemDisk::new());
+    disk.write(DATA_START, &TORN_FRAME).unwrap();
+    let msp = start(&net, Arc::clone(&disk), u64::MAX);
+    assert_eq!(msp.epoch(), Epoch(0));
+    assert_eq!(msp.stats().crash_recoveries, 0, "first-boot path");
+    let mut c = client(&net);
+    assert_eq!(call_u64(&mut c, "tick"), 1);
+    msp.crash();
+    // The epoch-0 marker overwrote the torn frame.
+    assert!(matches!(
+        scan_all(&disk).first(),
+        Some((
+            Lsn(DATA_START),
+            LogRecord::RecoveryComplete {
+                new_epoch: Epoch(0),
+                ..
+            }
+        ))
+    ));
+    let msp = start(&net, Arc::clone(&disk), u64::MAX);
+    assert_eq!(msp.epoch(), Epoch(1));
+    assert_eq!(call_u64(&mut c, "tick"), 2);
+    msp.shutdown();
+    net.shutdown();
+}
+
+#[test]
+fn recovery_complete_lands_at_the_end_of_a_checkpointed_scan() {
+    // Checkpoints on, but taken only on request; each MSP checkpoint
+    // forces the session's and the shared variable's.
+    let mut lg = logging(u64::MAX);
+    lg.msp_ckpt_interval = Duration::from_secs(3600);
+    lg.force_ckpt_after = 1;
+    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+    let disk = Arc::new(MemDisk::new());
+    let msp = start_with(&net, Arc::clone(&disk), lg.clone());
+    let mut c = client(&net);
+    for i in 1..=5u64 {
+        assert_eq!(call_u64(&mut c, "tick"), i);
+    }
+    for i in 1..=3u64 {
+        assert_eq!(call_u64(&mut c, "bump"), i);
+    }
+    // Crash inside the MSP checkpoint after its anchor is written and
+    // before the truncation moves the floor: the appends are the forced
+    // session checkpoint, the MSP checkpoint, then the shared one.
+    msp.install_fault_plan(FaultPlan::armed(CrashPoint::MidAppend, 3));
+    assert!(msp.force_msp_checkpoint().is_err());
+    msp.crash();
+    let ckpt = LogAnchor::new(Arc::clone(&disk) as Arc<dyn Disk>, DiskModel::zero())
+        .read()
+        .unwrap()
+        .expect("the checkpoint was anchored");
+    let min_lsn = match open_log(&disk).read_record(ckpt).unwrap() {
+        LogRecord::MspCheckpoint(body) => body.min_lsn,
+        other => panic!("anchor points at {}", other.kind()),
+    };
+    let floor = read_floor(disk.as_ref()).unwrap().unwrap_or(DATA_START);
+    assert!(
+        min_lsn.0 > floor,
+        "scan starts above the floor: {min_lsn:?}, {floor}"
+    );
+    // A torn tail behind the durable records.
+    let torn_at = disk.len();
+    disk.write(torn_at, &TORN_FRAME).unwrap();
+    let walked = {
+        let log = open_log(&disk);
+        let end = log.end_lsn();
+        log.crash();
+        end
+    };
+    assert_eq!(walked, Lsn(torn_at));
+
+    let msp = start_with(&net, Arc::clone(&disk), lg.clone());
+    assert_eq!(msp.epoch(), Epoch(1));
+    await_recovery(&msp);
+    let first = msp.dump_sessions();
+    msp.crash();
+    let complete: Vec<Lsn> = scan_all(&disk)
+        .into_iter()
+        .filter_map(|(lsn, rec)| match rec {
+            LogRecord::RecoveryComplete {
+                new_epoch: Epoch(1),
+                recovered_lsn,
+            } => {
+                assert_eq!(recovered_lsn, Lsn(torn_at - 1));
+                Some(lsn)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        complete,
+        vec![walked],
+        "RecoveryComplete at the analysis end"
+    );
+
+    let msp = start_with(&net, Arc::clone(&disk), lg);
+    assert_eq!(msp.epoch(), Epoch(2));
+    await_recovery(&msp);
+    assert_eq!(msp.dump_sessions(), first, "second restart, same sessions");
+    assert_eq!(call_u64(&mut c, "tick"), 6);
+    assert_eq!(call_u64(&mut c, "bump"), 4);
+    msp.shutdown();
+    net.shutdown();
+}
+
+#[test]
+fn restart_reads_the_log_image_once() {
+    // An image of N 64 KB read chunks whose every record fits the replay
+    // queues: a restart reads each chunk once (the analysis scan), plus a
+    // few small reads (floor, anchor, the first-boot probe) — not the
+    // N more a walk to find the append point used to read.
+    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+    let disk = Arc::new(MemDisk::new());
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
+    let mut c = client(&net);
+    let payload = vec![7u8; 16 * 1024];
+    for i in 1..=192u64 {
+        let reply = c.call(M1, "tick", &payload).unwrap();
+        assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), i);
+    }
+    msp.crash();
+    let image = disk.snapshot();
+    let chunks = (image.len() as u64 - DATA_START).div_ceil(SCAN_CHUNK as u64);
+    assert!(chunks >= 48, "a {chunks}-chunk image");
+
+    let restored = Arc::new(MemDisk::new());
+    restored.write(0, &image).unwrap();
+    let msp = start_ckpt(&net, Arc::clone(&restored), u64::MAX, false);
+    await_recovery(&msp);
+    let reads = restored.read_count();
+    assert_eq!(msp.stats().replayed_requests, 192);
+    assert_eq!(msp.pool_stats().pool_misses, 0, "replay read no block");
+    assert!(
+        reads >= chunks && reads <= chunks + chunks / 4,
+        "{reads} device reads for a {chunks}-chunk image"
+    );
+    assert_eq!(call_u64(&mut c, "tick"), 193);
     msp.shutdown();
     net.shutdown();
 }

@@ -1542,7 +1542,7 @@ fn sweep_zeros_past(bytes: &[u8], stream_end: u64, tag: &str) -> Result<(), Stri
 }
 
 /// Truncated prefix check, shared by both audits. Must run on a
-/// snapshot taken *before* the post-mortem re-open: `open_at` re-issues
+/// snapshot taken *before* the post-mortem re-open: every open re-issues
 /// the device reclaim below the persisted floor itself (to finish an
 /// interrupted truncation), which would repair exactly the violation
 /// this is looking for.
@@ -1573,11 +1573,10 @@ pub fn audit_log(disk: &Arc<MemDisk>, tag: &str) -> Result<LogAudit, String> {
         .map_or(DATA_START, |f| f.max(DATA_START));
     sweep_zeros_below_floor(&disk.snapshot(), floor, tag)?;
 
-    let log = PhysicalLog::open_at(
+    let log = PhysicalLog::open_unpositioned(
         Arc::clone(disk) as Arc<dyn Disk>,
         DiskModel::zero(),
         FlushPolicy::per_request(),
-        DATA_START,
     )
     .map_err(|e| format!("{tag}: post-mortem re-open failed: {e}"))?;
 
@@ -1653,11 +1652,10 @@ pub fn audit_striped_log(disks: &[Arc<MemDisk>], tag: &str) -> Result<LogAudit, 
             .map_err(|e| format!("{stag}: reclaim-floor region unreadable: {e}"))?
             .map_or(DATA_START, |f| f.max(DATA_START));
         sweep_zeros_below_floor(&disk.snapshot(), local_floor, &stag)?;
-        let log = PhysicalLog::open_at(
+        let log = PhysicalLog::open_unpositioned(
             Arc::clone(disk) as Arc<dyn Disk>,
             DiskModel::zero(),
             FlushPolicy::per_request(),
-            DATA_START,
         )
         .map_err(|e| format!("{stag}: post-mortem re-open failed: {e}"))?;
         let mut last_local: Option<u64> = None;
@@ -1730,11 +1728,10 @@ pub fn audit_striped_log(disks: &[Arc<MemDisk>], tag: &str) -> Result<LogAudit, 
 fn dump_var_history(disks: &[Arc<MemDisk>], who: &str, var: u32) {
     let mut merged: Vec<(u64, usize, LogRecord)> = Vec::new();
     for (si, disk) in disks.iter().enumerate() {
-        let log = match PhysicalLog::open_at(
+        let log = match PhysicalLog::open_unpositioned(
             Arc::clone(disk) as Arc<dyn Disk>,
             DiskModel::zero(),
             FlushPolicy::per_request(),
-            DATA_START,
         ) {
             Ok(log) => log,
             Err(e) => {

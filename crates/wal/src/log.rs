@@ -28,9 +28,12 @@
 //!
 //! Dropping the log (or calling [`PhysicalLog::crash`]) discards the
 //! un-flushed tail — exactly the information a real crash loses. Re-opening
-//! the same disk scans forward from the start (or any known-valid LSN) and
-//! resumes appending after the last intact record, overwriting any torn
-//! tail.
+//! the same disk resumes appending after the last intact record,
+//! overwriting any torn tail. [`PhysicalLog::open`] walks the frames from
+//! the reclaim floor to find that point; crash recovery opens
+//! [unpositioned](PhysicalLog::open_unpositioned) and hands the log the
+//! point where its own analysis scan stopped
+//! ([`PhysicalLog::resume_at`]), so the log is read once.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -285,46 +288,61 @@ pub struct PhysicalLog {
 }
 
 impl PhysicalLog {
-    /// Open a log over `disk`, scanning forward from the persisted reclaim
-    /// floor (`DATA_START` when the log was never truncated) to find the
-    /// end of the intact record stream, and start the flusher thread.
+    /// Open a log over `disk` ready to append: walk every frame from the
+    /// persisted reclaim floor (`DATA_START` when the log was never
+    /// truncated) to the first torn or absent one, and resume there. For
+    /// callers that do not read the log themselves; crash recovery opens
+    /// [unpositioned](Self::open_unpositioned) instead and resumes where
+    /// its analysis scan ends, so it reads the log once.
     pub fn open(
         disk: Arc<dyn Disk>,
         model: DiskModel,
         policy: FlushPolicy,
     ) -> Result<Arc<PhysicalLog>, MspError> {
-        // The probe must start exactly at the floor: below it the device
+        let log = Self::open_unpositioned(disk, model, policy)?;
+        // The walk must start exactly at the floor: below it the device
         // reads as zeros, and a mid-sector floor would be skipped over by
-        // the padding heuristic if the scan started any earlier.
-        let floor = crate::anchor::read_floor(disk.as_ref())?
-            .unwrap_or(DATA_START)
-            .max(DATA_START);
-        // Determine the append position: walk the durable records until the
-        // first torn / absent frame.
-        let append_at = {
-            let probe = RawScanner::new(disk.clone(), floor, None, None);
-            probe.find_end()?
-        };
-        Self::open_at(disk, model, policy, append_at)
+        // the padding heuristic if the walk started any earlier.
+        let end = RawScanner::new(log.disk(), log.floor().0, None, None).find_end()?;
+        log.resume_at(Lsn(end));
+        Ok(log)
     }
 
-    /// Open with a known append position (used by tests and by recovery
-    /// paths that have already scanned).
+    /// Open at an append position the caller already knows: the striped
+    /// log, whose open merged the stripes and found each one's end, and
+    /// tests.
     pub fn open_at(
         disk: Arc<dyn Disk>,
         model: DiskModel,
         policy: FlushPolicy,
         append_at: u64,
     ) -> Result<Arc<PhysicalLog>, MspError> {
+        let log = Self::open_unpositioned(disk, model, policy)?;
+        log.resume_at(Lsn(append_at));
+        Ok(log)
+    }
+
+    /// Open a log over `disk` without reading it: read the persisted
+    /// reclaim floor, re-issue the reclaim below it, start the flusher —
+    /// and park the tail at the device's high-water mark, so every
+    /// durable byte (scans, [`read_record`](Self::read_record)) is read
+    /// from the device. Appends are refused until
+    /// [`resume_at`](Self::resume_at) gives the append point; a reader
+    /// that never appends (an audit) never resumes.
+    pub fn open_unpositioned(
+        disk: Arc<dyn Disk>,
+        model: DiskModel,
+        policy: FlushPolicy,
+    ) -> Result<Arc<PhysicalLog>, MspError> {
         let (wakeup_tx, wakeup_rx) = crossbeam_channel::unbounded::<u64>();
         let floor = crate::anchor::read_floor(disk.as_ref())?
             .unwrap_or(DATA_START)
             .max(DATA_START);
-        let at = append_at.max(DATA_START).max(floor);
+        let hwm = disk.len().max(floor);
         let log = Arc::new(PhysicalLog {
             disk,
             model,
-            tail: ReservedTail::new(at),
+            tail: ReservedTail::parked_at(hwm),
             wakeup_tx,
             stopped: AtomicBool::new(false),
             stats: LogStats::default(),
@@ -349,6 +367,32 @@ impl PhysicalLog {
             .map_err(MspError::Io)?;
         *log.flusher.lock() = Some(handle);
         Ok(log)
+    }
+
+    /// Position an [unpositioned](Self::open_unpositioned) log: appends
+    /// start at `end` (clamped to the floor). `end` must be the end of
+    /// the intact record stream — where a scan from any record boundary
+    /// at or above the floor stops, and where [`open`](Self::open)'s walk
+    /// stops.
+    ///
+    /// # Panics
+    ///
+    /// If the log is already positioned, or anything was appended,
+    /// requested or made durable since the open.
+    pub fn resume_at(&self, end: Lsn) {
+        self.tail.resume_at(end.0.max(self.floor().0));
+    }
+
+    /// Whether the device holds no log yet: no persisted reclaim floor
+    /// and no intact frame at [`DATA_START`], checked with a one-frame
+    /// probe. These are exactly the devices [`open`](Self::open) would
+    /// position at `DATA_START`; a fully truncated log is not blank.
+    pub fn is_blank(&self) -> Result<bool, MspError> {
+        if self.floor().0 > DATA_START {
+            return Ok(false);
+        }
+        let mut probe = RawScanner::new(self.disk(), DATA_START, None, None);
+        Ok(probe.step()?.is_none() && probe.offset() == DATA_START)
     }
 
     /// The disk this log writes to (shared with the restarted MSP after a
@@ -411,6 +455,10 @@ impl PhysicalLog {
     /// probes around the append is racy once appends run concurrently,
     /// so the append itself reports it.
     pub fn append_sized(&self, record: &LogRecord) -> (Lsn, u64) {
+        debug_assert!(
+            !self.tail.is_parked(),
+            "append before resume_at on an unpositioned log"
+        );
         // Crash site: the record's reservation goes through but its bytes
         // die with the discarded tail (the fill is abandoned once
         // stopped), modelling a kill mid-append.
@@ -1188,6 +1236,24 @@ mod tests {
         (disk, log)
     }
 
+    fn open_mem_on(disk: &MemDisk) -> Arc<PhysicalLog> {
+        PhysicalLog::open(
+            Arc::new(disk.clone()),
+            DiskModel::zero(),
+            FlushPolicy::immediate(),
+        )
+        .unwrap()
+    }
+
+    fn open_unpositioned_mem(disk: &MemDisk) -> Arc<PhysicalLog> {
+        PhysicalLog::open_unpositioned(
+            Arc::new(disk.clone()),
+            DiskModel::zero(),
+            FlushPolicy::immediate(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn append_assigns_monotone_lsns() {
         let (_, log) = open_mem();
@@ -1894,6 +1960,56 @@ mod tests {
         let _ta = log.flush_to_async(a);
         assert_eq!(log.oldest_pending_flush(), Some(a));
         log.crash();
+    }
+
+    #[test]
+    #[should_panic(expected = "resume_at")]
+    fn resume_at_after_an_append_panics() {
+        let (_, log) = open_mem();
+        log.append(&rec(1, 0));
+        log.resume_at(Lsn(DATA_START));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "append before resume_at")]
+    fn append_before_resume_at_panics_in_debug() {
+        let log = open_unpositioned_mem(&MemDisk::new());
+        log.append(&rec(1, 0));
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    #[should_panic(expected = "resume_at after the parked tail moved")]
+    fn resume_at_after_an_append_to_the_parked_tail_panics() {
+        let log = open_unpositioned_mem(&MemDisk::new());
+        log.append(&rec(1, 0));
+        log.resume_at(Lsn(DATA_START));
+    }
+
+    #[test]
+    fn blank_means_no_floor_and_no_frame_at_data_start() {
+        // A device never written, or holding only a torn first frame, is
+        // blank.
+        let disk = MemDisk::new();
+        assert!(open_unpositioned_mem(&disk).is_blank().unwrap());
+        disk.write(DATA_START, &[FRAME_MAGIC, 100, 0, 0, 0, 1, 2, 3, 4, 42])
+            .unwrap();
+        assert!(open_unpositioned_mem(&disk).is_blank().unwrap());
+        // One intact record: not blank.
+        let log = open_mem_on(&disk);
+        let a = log.append(&rec(1, 0));
+        log.flush_to(a).unwrap();
+        log.close();
+        assert!(!open_unpositioned_mem(&disk).is_blank().unwrap());
+        // Truncated up to the durable end, no frame survives above the
+        // floor — but the persisted floor says there was a log.
+        let log = open_mem_on(&disk);
+        log.truncate_below(log.durable_lsn()).unwrap();
+        log.close();
+        let log = open_unpositioned_mem(&disk);
+        assert!(log.scan_from(Lsn(DATA_START)).next().is_none());
+        assert!(!log.is_blank().unwrap());
     }
 
     #[test]

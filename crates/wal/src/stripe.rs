@@ -852,6 +852,27 @@ impl Wal {
         }
     }
 
+    /// Whether the device(s) hold no log yet — a first boot. See
+    /// [`PhysicalLog::is_blank`]; a striped log is blank when its merge
+    /// found nothing above `DATA_START`.
+    pub fn is_blank(&self) -> Result<bool, MspError> {
+        match self {
+            Wal::Single(l) => l.is_blank(),
+            Wal::Striped(s) => Ok(s.durable_lsn().0 <= DATA_START && s.end_lsn().0 <= DATA_START),
+        }
+    }
+
+    /// Give an unpositioned single log its append point, the end of the
+    /// recovery scan ([`PhysicalLog::resume_at`]). A no-op on a striped
+    /// log: its open has to merge the stripes by gsn before any scan can
+    /// run, and that merge already positioned every stripe.
+    pub fn resume_at(&self, end: Lsn) {
+        match self {
+            Wal::Single(l) => l.resume_at(end),
+            Wal::Striped(s) => debug_assert_eq!(end, s.end_lsn(), "striped scan end"),
+        }
+    }
+
     pub fn durable_lsn(&self) -> Lsn {
         match self {
             Wal::Single(l) => l.durable_lsn(),

@@ -164,9 +164,12 @@ struct Placement {
 /// The scalable tail: reservation counter, staging ring, completion
 /// accounting and the waiter plumbing shared with the flusher.
 pub(crate) struct ReservedTail {
-    /// First byte of the volatile address space at open; everything below
-    /// was already durable on disk.
-    open_base: u64,
+    /// First byte of the volatile address space; everything below was
+    /// already durable on disk. Set once more by [`resume_at`](Self::resume_at).
+    open_base: AtomicU64,
+    /// Parked at the device's high-water mark by the unpositioned open:
+    /// appends are refused until `resume_at` positions the tail.
+    parked: AtomicBool,
     /// Next free log offset — the atomic the whole pipeline pivots on.
     reserved: AtomicU64,
     /// Exclusive end of the durable prefix. Published only at frame
@@ -192,9 +195,12 @@ pub(crate) struct ReservedTail {
 }
 
 impl ReservedTail {
-    pub(crate) fn new(open_base: u64) -> ReservedTail {
-        let open_base = open_base.max(DATA_START);
-        let base_seg = open_base / SEG;
+    /// A tail parked at `hwm`, the device's high-water mark: every offset
+    /// below it counts as durable, so reads of it go to the device, and
+    /// nothing may be appended until [`resume_at`](Self::resume_at)
+    /// moves the tail to the append point.
+    pub(crate) fn parked_at(hwm: u64) -> ReservedTail {
+        let hwm = hwm.max(DATA_START);
         let slots: Vec<SegmentSlot> = (0..SEGMENT_RING)
             .map(|_| SegmentSlot {
                 seg: AtomicU64::new(0),
@@ -203,10 +209,11 @@ impl ReservedTail {
             })
             .collect();
         let tail = ReservedTail {
-            open_base,
-            reserved: AtomicU64::new(open_base),
-            durable: AtomicU64::new(open_base),
-            requested: AtomicU64::new(open_base),
+            open_base: AtomicU64::new(hwm),
+            parked: AtomicBool::new(true),
+            reserved: AtomicU64::new(hwm),
+            durable: AtomicU64::new(hwm),
+            requested: AtomicU64::new(hwm),
             discard: AtomicBool::new(false),
             span_floor: Mutex::new(BTreeSet::new()),
             gate: Mutex::new(()),
@@ -214,11 +221,51 @@ impl ReservedTail {
             waiters: AtomicU32::new(0),
             slots: slots.into_boxed_slice(),
         };
-        for j in 0..SEGMENT_RING as u64 {
-            let k = base_seg + j;
-            tail.slot_for(k).seg.store(k, Ordering::Release);
-        }
+        tail.stage_ring(hwm);
         tail
+    }
+
+    /// The parked tail's one transition: move it, untouched, to `at`.
+    /// Called before any appender or flush target can exist, so the
+    /// stores need no coordination beyond the `Release` they carry.
+    ///
+    /// # Panics
+    ///
+    /// If the tail was already positioned, or anything was reserved,
+    /// requested or made durable since it was parked.
+    pub(crate) fn resume_at(&self, at: u64) {
+        assert!(
+            self.parked.swap(false, Ordering::AcqRel),
+            "resume_at on a log that is already positioned"
+        );
+        let base = self.open_base.load(Ordering::Acquire);
+        assert!(
+            self.reserved() == base && self.durable() == base && self.requested() == base,
+            "resume_at after the parked tail moved: reserved {}, durable {}, requested {}, \
+             parked at {base}",
+            self.reserved(),
+            self.durable(),
+            self.requested()
+        );
+        let at = at.max(DATA_START);
+        self.open_base.store(at, Ordering::Release);
+        self.reserved.store(at, Ordering::Release);
+        self.durable.store(at, Ordering::Release);
+        self.requested.store(at, Ordering::Release);
+        self.stage_ring(at);
+    }
+
+    /// Whether the tail still waits for [`resume_at`](Self::resume_at).
+    pub(crate) fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::Acquire)
+    }
+
+    /// Stage the ring's slots for the segments from `base`'s onwards.
+    fn stage_ring(&self, base: u64) {
+        let base_seg = base / SEG;
+        for k in base_seg..base_seg + SEGMENT_RING as u64 {
+            self.slot_for(k).seg.store(k, Ordering::Release);
+        }
     }
 
     fn slot_for(&self, seg: u64) -> &SegmentSlot {
@@ -228,7 +275,7 @@ impl ReservedTail {
     /// Start of segment `k`'s live range: reservations below `open_base`
     /// never existed, so the first segment is only partially accounted.
     fn live_start(&self, seg: u64) -> u64 {
-        (seg * SEG).max(self.open_base)
+        (seg * SEG).max(self.open_base.load(Ordering::Acquire))
     }
 
     pub(crate) fn reserved(&self) -> u64 {
@@ -606,11 +653,11 @@ mod tests {
         // tail should then need fewer than SEGMENT_RING fresh
         // allocations. Tolerate concurrent tests stealing from the pool
         // by retrying.
-        drop(ReservedTail::new(DATA_START));
+        drop(ReservedTail::parked_at(DATA_START));
         let mut recycled = false;
         for _ in 0..50 {
             let before = slab_fresh_allocs();
-            let tail = ReservedTail::new(DATA_START);
+            let tail = ReservedTail::parked_at(DATA_START);
             let fresh = slab_fresh_allocs() - before;
             drop(tail);
             if (fresh as usize) < SEGMENT_RING {
