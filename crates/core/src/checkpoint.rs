@@ -183,7 +183,6 @@ impl MspInner {
                     epoch: self.epoch(),
                     log,
                     knowledge: &knowledge,
-                    ops: self.shared.ops(),
                 };
                 crate::shared::rollback_if_orphan(&env, var, &mut st)?;
                 return Ok(());
@@ -199,7 +198,6 @@ impl MspInner {
         st.chain_head = lsn;
         st.dv.clear();
         st.writes_since_ckpt = 0;
-        st.ops_since_value = 0;
         var.msp_ckpts_since_ckpt.store(0, Ordering::Release);
         var.sync_anchor(&st);
         self.stats

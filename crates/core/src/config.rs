@@ -164,12 +164,6 @@ pub struct MspConfig {
     /// compare the parallel engine's recovered state against it byte for
     /// byte.
     pub serial_recovery: bool,
-    /// Let blind read-modify-writes through registered shared operations
-    /// log compact `SharedOp` records (op id + args) instead of the
-    /// value-logged read/write pair, while per-variable chain length and
-    /// contention stay low. Off logs everything by value (the paper's
-    /// baseline discipline).
-    pub adaptive_logging: bool,
     /// Stripe the WAL across this many disks, each with its own
     /// reservation tail and flusher; an LSN becomes durable only when
     /// every stripe holding a record at or below it has flushed (the
@@ -206,7 +200,6 @@ impl MspConfig {
             recovery_threads: 4,
             replay_cache_blocks: 64,
             serial_recovery: false,
-            adaptive_logging: false,
             log_stripes: 0,
             runtime_shards: 1,
             busy_backoff: Duration::from_millis(100),
@@ -276,12 +269,6 @@ impl MspConfig {
         self
     }
 
-    #[must_use]
-    pub fn with_adaptive_logging(mut self, adaptive: bool) -> MspConfig {
-        self.adaptive_logging = adaptive;
-        self
-    }
-
     /// The busy backoff after scaling.
     pub fn scaled_busy_backoff(&self) -> Duration {
         if self.time_scale <= 0.0 {
@@ -342,15 +329,13 @@ mod tests {
             .with_replay_cache_blocks(16)
             .with_serial_recovery(true)
             .with_log_stripes(4)
-            .with_runtime_shards(2)
-            .with_adaptive_logging(true);
+            .with_runtime_shards(2);
         assert!(!cfg.durability_watermarks);
         assert_eq!(cfg.recovery_threads, 8);
         assert_eq!(cfg.replay_cache_blocks, 16);
         assert!(cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 4);
         assert_eq!(cfg.runtime_shards, 2);
-        assert!(cfg.adaptive_logging);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
         assert!(cfg.durability_watermarks);
         assert_eq!(cfg.recovery_threads, 4);
@@ -358,7 +343,6 @@ mod tests {
         assert!(!cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 0, "single log is the default");
         assert_eq!(cfg.runtime_shards, 1, "one shard is the default");
-        assert!(!cfg.adaptive_logging, "value logging is the default diet");
         assert_eq!(
             cfg.logging.checkpoint_interval_bytes,
             8 << 20,

@@ -59,9 +59,9 @@ struct ScannedSession {
 }
 
 /// The session whose replay stream `record` belongs to, if any. Shared
-/// writes and ops belong to *two* recovery units: the variable rolls
-/// forward from them, and they join the writing session's stream — the
-/// replay write/op half consumes them, so one the crash cut off surfaces
+/// writes belong to *two* recovery units: the variable rolls forward
+/// from them, and they join the writing session's stream — the replay
+/// write half consumes them, so one the crash cut off surfaces
 /// as end-of-stream and re-executes live instead of being silently
 /// dropped (on a striped log it lives on the variable's stripe and can be
 /// lost while the session's own records survive).
@@ -71,7 +71,6 @@ fn stream_session(record: &LogRecord) -> Option<SessionId> {
         | LogRecord::ReplyReceive { session, .. }
         | LogRecord::SharedRead { session, .. }
         | LogRecord::SharedWrite { session, .. }
-        | LogRecord::SharedOp { session, .. }
         | LogRecord::OutgoingBind { session, .. }
         | LogRecord::Eos { session, .. } => Some(*session),
         _ => None,
@@ -335,7 +334,6 @@ impl MspInner {
                         vst.chain_head = lsn;
                         vst.last_ckpt = Some(lsn);
                         vst.writes_since_ckpt = 0;
-                        vst.ops_since_value = 0;
                         v.sync_anchor(&vst);
                     }
                 }
@@ -354,38 +352,6 @@ impl MspInner {
                             vst.first_write = Some(lsn);
                         }
                         vst.writes_since_ckpt += 1;
-                        vst.ops_since_value = 0;
-                        v.sync_anchor(&vst);
-                    }
-                }
-                LogRecord::SharedOp {
-                    var,
-                    op,
-                    args,
-                    writer_dv,
-                    ..
-                } => {
-                    // The variable rolls forward by re-applying the
-                    // registered operation. The scan starts at or before
-                    // the variable's anchor, so the whole chain from the
-                    // last value bearer is replayed in order and the
-                    // forward application is exact.
-                    if let Some(v) = self.shared.get(*var) {
-                        let Some(f) = self.shared.op_fn(*op) else {
-                            return Err(MspError::LogCorrupt {
-                                offset: lsn.0,
-                                reason: format!("logged shared op {op} is not registered"),
-                            });
-                        };
-                        let mut vst = v.state.lock();
-                        vst.value = f(&vst.value, args);
-                        vst.dv = writer_dv.clone();
-                        vst.chain_head = lsn;
-                        if vst.first_write.is_none() {
-                            vst.first_write = Some(lsn);
-                        }
-                        vst.writes_since_ckpt += 1;
-                        vst.ops_since_value += 1;
                         v.sync_anchor(&vst);
                     }
                 }

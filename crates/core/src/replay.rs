@@ -260,9 +260,6 @@ impl ReplayCursor {
                     ..
                 } => knowledge.is_orphan(dv, me),
                 LogRecord::SharedRead { var_dv, .. } => knowledge.is_orphan(var_dv, me),
-                // An op's logged DV includes the variable's (merged read
-                // dependency) — an orphaned entry there dooms the op.
-                LogRecord::SharedOp { writer_dv, .. } => knowledge.is_orphan(writer_dv, me),
                 _ => false,
             };
             if !orphan {

@@ -2009,20 +2009,6 @@ impl MspBuilder {
         self
     }
 
-    /// Register a shared operation `(current value, args) -> new value`
-    /// for [`ServiceContext::apply_shared`]. Must be deterministic —
-    /// recovery re-applies it to reconstruct op-logged values — and
-    /// registration order fixes its id (same stability contract as
-    /// variables and service methods).
-    #[must_use]
-    pub fn shared_op<F>(mut self, name: &str, f: F) -> MspBuilder
-    where
-        F: Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync + 'static,
-    {
-        self.shared.register_op(name, f);
-        self
-    }
-
     #[must_use]
     pub fn disk_model(mut self, model: DiskModel) -> MspBuilder {
         self.disk_model = model;

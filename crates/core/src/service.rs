@@ -179,7 +179,6 @@ impl<'a> ServiceContext<'a> {
                 epoch,
                 log,
                 knowledge: &knowledge,
-                ops: self.inner.shared.ops(),
             };
             crate::shared::read_shared(&env, var, self.session_id, self.state)
                 .map_err(|e| self.mark_fatal(e))
@@ -265,7 +264,6 @@ impl<'a> ServiceContext<'a> {
                     epoch,
                     log,
                     knowledge: &knowledge,
-                    ops: self.inner.shared.ops(),
                 };
                 // The session's stream membership and self-entry for the
                 // write (reply-durability cover on the variable's stripe)
@@ -417,7 +415,6 @@ impl<'a> ServiceContext<'a> {
                     epoch,
                     log,
                     knowledge: &knowledge,
-                    ops: self.inner.shared.ops(),
                 };
                 // Stream membership and the self-entry covering the write
                 // happen inside (see `shared::write_shared`).
@@ -440,163 +437,6 @@ impl<'a> ServiceContext<'a> {
             let (new, t) = f(&st.value);
             st.value = new;
             Ok(t)
-        }
-    }
-
-    /// Blind read-modify-write of a shared variable through a registered
-    /// shared operation (`MspBuilder::shared_op`). The caller never sees
-    /// the value — which is what lets the runtime choose the log
-    /// representation: under `adaptive_logging` a compact `SharedOp`
-    /// record (op id + args), otherwise the value-logged
-    /// `SharedRead`/`SharedWrite` pair `update_shared` would produce.
-    ///
-    /// During replay both shapes are accepted from the session's stream —
-    /// the adaptive tracker may decide differently across incarnations,
-    /// so a record logged in one mode can precede re-execution in the
-    /// other. A `SharedOp` is consumed with an args-determinism check (the
-    /// variable itself rolls forward from its own records); a read/write
-    /// pair replays exactly like `update_shared`, including the
-    /// stale-read runs an interrupted attempt leaves behind. A stream
-    /// ending before any of those means the effect never became durable —
-    /// the update re-executes live.
-    pub fn apply_shared(&mut self, name: &str, op: &str, args: &[u8]) -> Result<(), String> {
-        let var_id = self
-            .inner
-            .shared
-            .resolve(name)
-            .ok_or_else(|| format!("no such shared variable: {name}"))?;
-        let op_id = self
-            .inner
-            .shared
-            .resolve_op(op)
-            .ok_or_else(|| format!("no such shared op: {op}"))?;
-
-        if self.is_replaying() {
-            let me = self.inner.cfg.id;
-            let mut last_read: Option<Vec<u8>> = None;
-            loop {
-                let consumed = {
-                    let log = self.inner.log.as_ref().expect("replay requires a log");
-                    let knowledge = self.inner.knowledge.read();
-                    let cursor = self.cursor.as_mut().expect("is_replaying checked");
-                    cursor
-                        .consume(log, &knowledge, me, self.session_id)
-                        .map_err(|e| e.to_string())?
-                };
-                match consumed {
-                    Consume::Record {
-                        lsn,
-                        record,
-                        framed,
-                    } => match record {
-                        LogRecord::SharedOp {
-                            var,
-                            op: logged_op,
-                            args: logged_args,
-                            writer_dv,
-                            ..
-                        } if var == var_id => {
-                            // Stale reads from an interrupted value-mode
-                            // attempt may precede the op — discard them.
-                            if logged_op != op_id || logged_args != args {
-                                return Err(MspError::LogCorrupt {
-                                    offset: lsn.0,
-                                    reason: "replay determinism violation: \
-                                             re-executed op differs from the logged SharedOp"
-                                        .into(),
-                                }
-                                .to_string());
-                            }
-                            // The logged DV is the session's merged with
-                            // the variable's at op time (see
-                            // `shared::op_locked`); merging it reproduces
-                            // the live execution's session DV exactly.
-                            self.state.dv.merge_from(&writer_dv);
-                            self.state.note_logged(me, self.inner.epoch(), lsn, framed);
-                            return Ok(());
-                        }
-                        LogRecord::SharedRead {
-                            var, value, var_dv, ..
-                        } if var == var_id => {
-                            self.state.dv.merge_from(&var_dv);
-                            self.state.note_logged(me, self.inner.epoch(), lsn, framed);
-                            last_read = Some(value);
-                        }
-                        LogRecord::SharedWrite {
-                            var, value: logged, ..
-                        } if var == var_id && last_read.is_some() => {
-                            let old = last_read.take().expect("guarded");
-                            let f = self.inner.shared.op_fn(op_id).expect("resolved op");
-                            if logged != f(&old, args) {
-                                return Err(MspError::LogCorrupt {
-                                    offset: lsn.0,
-                                    reason: "replay determinism violation: \
-                                             re-executed op differs from the logged write"
-                                        .into(),
-                                }
-                                .to_string());
-                            }
-                            self.state.note_logged(me, self.inner.epoch(), lsn, framed);
-                            return Ok(());
-                        }
-                        other => {
-                            let want = if last_read.is_some() {
-                                "SharedOp|SharedRead|SharedWrite"
-                            } else {
-                                "SharedOp|SharedRead"
-                            };
-                            return Err(replay_mismatch(lsn, want, &other).to_string());
-                        }
-                    },
-                    // Nothing of this update survived: redo it live.
-                    Consume::WentLive => break,
-                }
-            }
-        }
-
-        let var = self.inner.shared.get(var_id).expect("resolved id");
-        if let Some(log) = &self.inner.log {
-            let write_lsn = {
-                let me = self.inner.cfg.id;
-                let epoch = self.inner.epoch();
-                let knowledge = self.inner.knowledge.read();
-                // Interception point (§4.1), before the op merges the
-                // variable's DV — see read_shared.
-                if knowledge.is_orphan(&self.state.dv, me) {
-                    drop(knowledge);
-                    return Err(self.mark_fatal(MspError::Orphan {
-                        session: self.session_id,
-                    }));
-                }
-                let env = crate::shared::SharedEnv {
-                    me,
-                    epoch,
-                    log,
-                    knowledge: &knowledge,
-                    ops: self.inner.shared.ops(),
-                };
-                let (_, lsn) = crate::shared::apply_shared(
-                    &env,
-                    var,
-                    self.session_id,
-                    self.state,
-                    op_id,
-                    args,
-                    self.inner.cfg.adaptive_logging,
-                )
-                .map_err(|e| self.mark_fatal(e))?;
-                lsn
-            };
-            self.inner
-                .maybe_shared_checkpoint(var, write_lsn)
-                .map_err(|e| self.mark_fatal(e))?;
-            Ok(())
-        } else {
-            // Baselines: plain in-memory application.
-            let f = self.inner.shared.op_fn(op_id).expect("resolved op").clone();
-            let mut st = var.state.lock();
-            st.value = f(&st.value, args);
-            Ok(())
         }
     }
 

@@ -17,26 +17,9 @@
 //! Dependency tracking is the paper's refined, asymmetric rule: reads
 //! merge variable→session only; writes *replace* the variable's DV with
 //! the writer's (the overwritten value's dependencies die with it).
-//!
-//! # Adaptive operation logging
-//!
-//! Value logging pays for its independence in log bytes: a
-//! read-modify-write of a large value logs the value twice (read +
-//! write). For *blind* RMWs — updates through a registered deterministic
-//! operation whose caller never sees the value — [`apply_shared`] can log
-//! a compact [`LogRecord::SharedOp`] (operation id + arguments) instead.
-//! Recovery reconstructs the value by walking the backward chain to the
-//! nearest value-bearing record and re-applying the ops forward.
-//!
-//! The diet is adaptive per variable: op logging is used only while the
-//! op chain since the last value-bearing record is short (bounded
-//! reconstruction cost, [`OP_CHAIN_LIMIT`]) and cross-session contention
-//! is low ([`CONTENTION_SWITCHES`]); otherwise the access falls back to
-//! the value-logged read/write pair, which also resets the chain.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -65,17 +48,6 @@ pub struct SharedVarState {
     pub first_write: Option<Lsn>,
     /// Writes since the last checkpoint — drives checkpointing (§3.3).
     pub writes_since_ckpt: u64,
-    /// Consecutive `SharedOp` records since the last value-bearing chain
-    /// record (write or checkpoint) — bounds reconstruction cost.
-    pub ops_since_value: u64,
-    /// The session that performed the most recent adaptive access —
-    /// feeds the contention tracker.
-    pub last_writer: Option<SessionId>,
-    /// Saturating cross-session switch counter: bumped when consecutive
-    /// adaptive accesses come from different sessions, decayed otherwise.
-    /// High values mean the variable is contended and op chains would
-    /// entangle many sessions' recovery — force value logging.
-    pub recent_switches: u32,
 }
 
 impl SharedVarState {
@@ -87,9 +59,6 @@ impl SharedVarState {
             last_ckpt: None,
             first_write: None,
             writes_since_ckpt: 0,
-            ops_since_value: 0,
-            last_writer: None,
-            recent_switches: 0,
         }
     }
 }
@@ -137,18 +106,11 @@ impl SharedVar {
     }
 }
 
-/// A registered shared operation: `(current value, args) -> new value`.
-/// Must be deterministic — recovery re-applies it to reconstruct values
-/// from `SharedOp` records.
-pub type SharedOpFn = Arc<dyn Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync>;
-
 /// The fixed set of shared variables of an MSP, built at startup.
 #[derive(Default)]
 pub struct SharedRegistry {
     vars: Vec<SharedVar>,
     by_name: HashMap<String, VarId>,
-    ops: Vec<(String, SharedOpFn)>,
-    ops_by_name: HashMap<String, u32>,
 }
 
 impl SharedRegistry {
@@ -191,38 +153,6 @@ impl SharedRegistry {
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
     }
-
-    /// Register a shared operation; ids are dense and assigned in
-    /// registration order (stable across restarts under the same
-    /// registration program — same contract as variables and service
-    /// methods, and required for `SharedOp` records to replay).
-    pub fn register_op(
-        &mut self,
-        name: &str,
-        f: impl Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync + 'static,
-    ) -> u32 {
-        debug_assert!(
-            !self.ops_by_name.contains_key(name),
-            "duplicate shared op {name}"
-        );
-        let id = self.ops.len() as u32;
-        self.ops.push((name.to_string(), Arc::new(f)));
-        self.ops_by_name.insert(name.to_string(), id);
-        id
-    }
-
-    pub fn resolve_op(&self, name: &str) -> Option<u32> {
-        self.ops_by_name.get(name).copied()
-    }
-
-    pub fn op_fn(&self, id: u32) -> Option<&SharedOpFn> {
-        self.ops.get(id as usize).map(|(_, f)| f)
-    }
-
-    /// The full op table, for threading into a [`SharedEnv`].
-    pub fn ops(&self) -> &[(String, SharedOpFn)] {
-        &self.ops
-    }
 }
 
 /// What a shared-variable access needs from the runtime.
@@ -231,9 +161,6 @@ pub struct SharedEnv<'a> {
     pub epoch: Epoch,
     pub log: &'a Wal,
     pub knowledge: &'a RecoveryKnowledge,
-    /// The registered shared operations ([`SharedRegistry::ops`]) —
-    /// rollback needs the table to re-apply op chains.
-    pub ops: &'a [(String, SharedOpFn)],
 }
 
 /// Figure 8, left column: read `var` on behalf of `session`.
@@ -333,9 +260,6 @@ fn write_locked(
         var.sync_anchor(st);
     }
     st.writes_since_ckpt += 1;
-    // A value-bearing record resets the op-chain length: rollback and
-    // reconstruction stop here.
-    st.ops_since_value = 0;
     // The session's half of the write: stream membership + self-entry
     // (see `write_shared`). Ordered after the record is built so the
     // logged writer_dv does not include the write itself.
@@ -368,114 +292,6 @@ pub fn update_shared(
     Ok((old, lsn))
 }
 
-/// Longest op chain allowed since the last value-bearing record before
-/// the adaptive diet forces a value-logged access (bounds the chain walk
-/// rollback and reconstruction must perform).
-pub const OP_CHAIN_LIMIT: u64 = 32;
-
-/// Switch-counter threshold at which a variable counts as contended and
-/// the diet forces value logging (a clean value decouples the sessions'
-/// recovery; long op chains under contention entangle them).
-pub const CONTENTION_SWITCHES: u32 = 4;
-
-/// Blind read-modify-write through a registered operation, with an
-/// adaptive choice of log representation.
-///
-/// The operation both reads and writes the variable, under one hold of
-/// its lock. When `adaptive` is set and the per-variable tracker allows
-/// it, the access logs a single compact [`LogRecord::SharedOp`] (op id +
-/// args) instead of the value-logged `SharedRead`/`SharedWrite` pair;
-/// otherwise it takes exactly the [`update_shared`] path. Returns
-/// `(op_mode, lsn)` — whether the compact record was used, and the LSN
-/// of the chain record written.
-///
-/// The caller never sees the value, which is what makes the compact form
-/// sound: replay needs no value reconstruction to re-execute the method,
-/// only the variable's own recovery does (and it walks the chain).
-pub fn apply_shared(
-    env: &SharedEnv<'_>,
-    var: &SharedVar,
-    session_id: SessionId,
-    session: &mut SessionState,
-    op: u32,
-    args: &[u8],
-    adaptive: bool,
-) -> MspResult<(bool, Lsn)> {
-    let op_fn = env
-        .ops
-        .get(op as usize)
-        .map(|(_, f)| f.clone())
-        .ok_or_else(|| MspError::Application(format!("unregistered shared op {op}")))?;
-    let mut st = var.state.lock();
-    rollback_if_orphan(env, var, &mut st)?;
-
-    // Contention tracker: consecutive accesses from different sessions
-    // bump the switch counter, same-session runs decay it.
-    let switched = st.last_writer.is_some_and(|w| w != session_id);
-    if switched {
-        st.recent_switches = (st.recent_switches + 1).min(2 * CONTENTION_SWITCHES);
-    } else {
-        st.recent_switches = st.recent_switches.saturating_sub(1);
-    }
-    st.last_writer = Some(session_id);
-
-    let use_op =
-        adaptive && st.ops_since_value < OP_CHAIN_LIMIT && st.recent_switches < CONTENTION_SWITCHES;
-    if use_op {
-        let lsn = op_locked(env, var, &mut st, session_id, session, op, &op_fn, args);
-        Ok((true, lsn))
-    } else {
-        let old = read_locked(env, var, &mut st, session_id, session);
-        let new = op_fn(&old, args);
-        let lsn = write_locked(env, var, &mut st, session_id, session, new);
-        Ok((false, lsn))
-    }
-}
-
-/// The op-logged access, with the variable lock already held.
-///
-/// DV discipline: the op *reads* the variable, so the variable's DV is
-/// merged into the session **first**; the record then logs the merged
-/// session DV (pre-self-entry) as `writer_dv` and the variable takes it.
-/// Every `SharedOp`'s DV is therefore a superset of its chain
-/// predecessor's — so a *clean* `SharedOp` proves its whole ancestry
-/// clean, and reconstruction below it never meets an orphan.
-#[allow(clippy::too_many_arguments)]
-fn op_locked(
-    env: &SharedEnv<'_>,
-    var: &SharedVar,
-    st: &mut SharedVarState,
-    session_id: SessionId,
-    session: &mut SessionState,
-    op: u32,
-    op_fn: &SharedOpFn,
-    args: &[u8],
-) -> Lsn {
-    session.dv.merge_from(&st.dv);
-    let record = LogRecord::SharedOp {
-        session: session_id,
-        var: var.id,
-        op,
-        args: args.to_vec(),
-        writer_dv: session.dv.clone(),
-        prev_write: st.chain_head,
-    };
-    let (lsn, framed) = env.log.append_sized(&record);
-    st.value = op_fn(&st.value, args);
-    st.dv = session.dv.clone();
-    st.chain_head = lsn;
-    if st.first_write.is_none() {
-        st.first_write = Some(lsn);
-        var.sync_anchor(st);
-    }
-    st.writes_since_ckpt += 1;
-    st.ops_since_value += 1;
-    // Stream membership + self-entry, as for writes (the op is a session
-    // record too: its loss must surface as end-of-stream at replay).
-    session.note_logged(env.me, env.epoch, lsn, framed);
-    lsn
-}
-
 /// Undo recovery of a shared variable (§4.2): follow the backward chain
 /// from the chain head until a non-orphan value — a checkpointed value, a
 /// write whose logged DV is clean, or (chain exhausted) the registered
@@ -496,7 +312,6 @@ pub fn rollback_if_orphan(
             st.value = var.initial.clone();
             st.dv.clear();
             st.chain_head = Lsn::NULL;
-            st.ops_since_value = 0;
             return Ok(());
         }
         match env.log.read_record(cursor)? {
@@ -507,7 +322,6 @@ pub fn rollback_if_orphan(
                 st.value = value;
                 st.dv.clear();
                 st.chain_head = cursor;
-                st.ops_since_value = 0;
                 return Ok(());
             }
             LogRecord::SharedWrite {
@@ -525,29 +339,6 @@ pub fn rollback_if_orphan(
                 st.value = value;
                 st.dv = writer_dv;
                 st.chain_head = cursor;
-                st.ops_since_value = 0;
-                return Ok(());
-            }
-            LogRecord::SharedOp {
-                var: v,
-                writer_dv,
-                prev_write,
-                ..
-            } => {
-                debug_assert_eq!(v, var.id);
-                if env.knowledge.is_orphan(&writer_dv, env.me) {
-                    cursor = prev_write;
-                    continue;
-                }
-                // A clean SharedOp guarantees a clean ancestry (its DV is
-                // a superset of every predecessor's — see `op_locked`), so
-                // the value can be rebuilt by walking down to the nearest
-                // value bearer and re-applying the ops forward.
-                let (value, chain_len) = op_chain_value(env, var, cursor)?;
-                st.value = value;
-                st.dv = writer_dv;
-                st.chain_head = cursor;
-                st.ops_since_value = chain_len;
                 return Ok(());
             }
             other => {
@@ -562,57 +353,6 @@ pub fn rollback_if_orphan(
             }
         }
     }
-}
-
-/// Reconstruct the value as of the `SharedOp` record at `head`: walk the
-/// backward chain collecting ops until a value-bearing record (write,
-/// checkpoint, or the chain end = registered initial), then re-apply the
-/// ops oldest-first. Returns the value and the op-chain length.
-fn op_chain_value(env: &SharedEnv<'_>, var: &SharedVar, head: Lsn) -> MspResult<(Vec<u8>, u64)> {
-    let mut ops: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut cursor = head;
-    let mut value = loop {
-        if cursor.is_null() {
-            break var.initial.clone();
-        }
-        match env.log.read_record(cursor)? {
-            LogRecord::SharedOp {
-                op,
-                args,
-                prev_write,
-                ..
-            } => {
-                ops.push((op, args));
-                cursor = prev_write;
-            }
-            LogRecord::SharedWrite { value, .. } => break value,
-            LogRecord::SharedCheckpoint { value, .. } => break value,
-            other => {
-                return Err(MspError::LogCorrupt {
-                    offset: cursor.0,
-                    reason: format!(
-                        "shared-variable chain for {} hit a {} record",
-                        var.name,
-                        other.kind()
-                    ),
-                });
-            }
-        }
-    };
-    let chain_len = ops.len() as u64;
-    for (op, args) in ops.into_iter().rev() {
-        let Some((_, f)) = env.ops.get(op as usize) else {
-            return Err(MspError::LogCorrupt {
-                offset: head.0,
-                reason: format!(
-                    "shared-variable chain for {} uses unregistered op {op}",
-                    var.name
-                ),
-            });
-        };
-        value = f(&value, &args);
-    }
-    Ok((value, chain_len))
 }
 
 #[cfg(test)]
@@ -639,35 +379,7 @@ mod tests {
             epoch: Epoch(0),
             log,
             knowledge,
-            ops: &[],
         }
-    }
-
-    fn env_with_ops<'a>(
-        log: &'a Wal,
-        knowledge: &'a RecoveryKnowledge,
-        reg: &'a SharedRegistry,
-    ) -> SharedEnv<'a> {
-        SharedEnv {
-            me: MspId(1),
-            epoch: Epoch(0),
-            log,
-            knowledge,
-            ops: reg.ops(),
-        }
-    }
-
-    /// Registry with one variable holding a little-endian u64 counter and
-    /// an `add` op summing the args into it.
-    fn counter_registry() -> (SharedRegistry, VarId, u32) {
-        let mut reg = SharedRegistry::new();
-        let id = reg.register("CTR", 0u64.to_le_bytes().to_vec());
-        let add = reg.register_op("add", |old, args| {
-            let o = u64::from_le_bytes(old.try_into().unwrap());
-            let a = u64::from_le_bytes(args.try_into().unwrap());
-            (o + a).to_le_bytes().to_vec()
-        });
-        (reg, id, add)
     }
 
     fn session_with_dv(entries: &[(u32, u32, u64)]) -> SessionState {
@@ -866,153 +578,6 @@ mod tests {
         let mut reader = SessionState::fresh();
         let v = read_shared(&env(&log, &k), var, SessionId(2), &mut reader).unwrap();
         assert_eq!(v, b"ck".to_vec(), "chain walk terminates at the checkpoint");
-        log.close();
-    }
-
-    #[test]
-    fn op_logging_matches_value_logging_result() {
-        let (reg, id, add) = counter_registry();
-        let var = reg.get(id).unwrap();
-        let k = RecoveryKnowledge::new();
-        let log = test_log();
-        let e = env_with_ops(&log, &k, &reg);
-
-        let mut s = SessionState::fresh();
-        let mut total = 0u64;
-        for (i, adaptive) in [(3u64, true), (4, false), (5, true)] {
-            let (op_mode, _) = apply_shared(
-                &e,
-                var,
-                SessionId(1),
-                &mut s,
-                add,
-                &i.to_le_bytes(),
-                adaptive,
-            )
-            .unwrap();
-            assert_eq!(op_mode, adaptive, "diet follows the adaptive flag here");
-            total += i;
-        }
-        let st = var.state.lock();
-        assert_eq!(st.value, total.to_le_bytes().to_vec());
-        // The value-logged middle access reset the chain; the last op
-        // re-grew it to 1.
-        assert_eq!(st.ops_since_value, 1);
-        assert_eq!(st.writes_since_ckpt, 3);
-        drop(st);
-        log.close();
-    }
-
-    #[test]
-    fn op_chain_limit_forces_value_record() {
-        let (reg, id, add) = counter_registry();
-        let var = reg.get(id).unwrap();
-        let k = RecoveryKnowledge::new();
-        let log = test_log();
-        let e = env_with_ops(&log, &k, &reg);
-
-        let mut s = SessionState::fresh();
-        let one = 1u64.to_le_bytes();
-        for i in 0..OP_CHAIN_LIMIT + 1 {
-            let (op_mode, _) =
-                apply_shared(&e, var, SessionId(1), &mut s, add, &one, true).unwrap();
-            assert_eq!(
-                op_mode,
-                i < OP_CHAIN_LIMIT,
-                "access {i} past the chain limit must log by value"
-            );
-        }
-        let st = var.state.lock();
-        assert_eq!(st.value, (OP_CHAIN_LIMIT + 1).to_le_bytes().to_vec());
-        assert_eq!(st.ops_since_value, 0, "value record reset the chain");
-        drop(st);
-        log.close();
-    }
-
-    #[test]
-    fn contention_forces_value_records() {
-        let (reg, id, add) = counter_registry();
-        let var = reg.get(id).unwrap();
-        let k = RecoveryKnowledge::new();
-        let log = test_log();
-        let e = env_with_ops(&log, &k, &reg);
-
-        // Ping-pong between two sessions: once the switch counter crosses
-        // the threshold, the diet must pin value logging.
-        let one = 1u64.to_le_bytes();
-        let mut s1 = SessionState::fresh();
-        let mut s2 = SessionState::fresh();
-        let mut modes = Vec::new();
-        for i in 0..10 {
-            let (sid, s) = if i % 2 == 0 {
-                (SessionId(1), &mut s1)
-            } else {
-                (SessionId(2), &mut s2)
-            };
-            let (op_mode, _) = apply_shared(&e, var, sid, s, add, &one, true).unwrap();
-            modes.push(op_mode);
-        }
-        assert!(modes[..3].iter().all(|&m| m), "cold tracker allows ops");
-        assert!(
-            modes[CONTENTION_SWITCHES as usize..].iter().all(|&m| !m),
-            "contended variable pins value logging: {modes:?}"
-        );
-        assert_eq!(var.state.lock().value, 10u64.to_le_bytes().to_vec());
-        log.close();
-    }
-
-    #[test]
-    fn orphan_op_chain_rolls_back_and_reconstructs() {
-        let (reg, id, add) = counter_registry();
-        let var = reg.get(id).unwrap();
-        let mut k = RecoveryKnowledge::new();
-        let log = test_log();
-
-        // Two clean ops (+1, +2) by a session depending on msp2@(0,10),
-        // then a doomed op (+100) depending on msp2@(0,100).
-        {
-            let e = env_with_ops(&log, &k, &reg);
-            let mut clean = session_with_dv(&[(2, 0, 10)]);
-            for a in [1u64, 2] {
-                apply_shared(
-                    &e,
-                    var,
-                    SessionId(1),
-                    &mut clean,
-                    add,
-                    &a.to_le_bytes(),
-                    true,
-                )
-                .unwrap();
-            }
-            let mut doomed = session_with_dv(&[(2, 0, 100)]);
-            apply_shared(
-                &e,
-                var,
-                SessionId(2),
-                &mut doomed,
-                add,
-                &100u64.to_le_bytes(),
-                true,
-            )
-            .unwrap();
-        }
-        assert_eq!(var.state.lock().value, 103u64.to_le_bytes().to_vec());
-
-        k.record(RecoveryRecord {
-            msp: MspId(2),
-            new_epoch: Epoch(1),
-            recovered_lsn: Lsn(50),
-        });
-        let e = env_with_ops(&log, &k, &reg);
-        let mut reader = SessionState::fresh();
-        let v = read_shared(&e, var, SessionId(3), &mut reader).unwrap();
-        assert_eq!(
-            v,
-            3u64.to_le_bytes().to_vec(),
-            "rolled back past the orphan op and rebuilt 0+1+2 from the chain"
-        );
-        assert_eq!(var.state.lock().ops_since_value, 2);
         log.close();
     }
 

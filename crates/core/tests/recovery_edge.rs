@@ -1,7 +1,7 @@
 //! Edge cases of the recovery machinery: checkpoint-bounded scans, forced
 //! checkpoints of idle sessions, shared-variable chain breaks, repeated
-//! crashes, flush-request verdicts about old epochs, and where a recovered
-//! log resumes appending.
+//! crashes, flush-request verdicts about old epochs, where a recovered
+//! log resumes appending, and logs recovery must refuse.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,7 +10,10 @@ use msp_core::client::ClientOptions;
 use msp_core::config::LoggingConfig;
 use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig, MspHandle};
 use msp_net::{NetModel, Network};
-use msp_types::{DomainId, Epoch, Lsn, MspId};
+use msp_types::{
+    CodecError, Decode, DependencyVector, DomainId, Encode, Epoch, Lsn, MspError, MspId, MspResult,
+    SessionId, VarId,
+};
 use msp_wal::log::{DATA_START, SCAN_CHUNK};
 use msp_wal::{
     read_floor, CrashPoint, Disk, DiskModel, FaultPlan, FlushPolicy, LogAnchor, LogRecord, MemDisk,
@@ -50,6 +53,14 @@ fn start_ckpt(
 }
 
 fn start_with(net: &Network<Envelope>, disk: Arc<MemDisk>, lg: LoggingConfig) -> MspHandle {
+    try_start_with(net, disk, lg).unwrap()
+}
+
+fn try_start_with(
+    net: &Network<Envelope>,
+    disk: Arc<MemDisk>,
+    lg: LoggingConfig,
+) -> MspResult<MspHandle> {
     MspBuilder::new(
         MspConfig::new(M1, DomainId(1))
             .with_time_scale(0.0)
@@ -74,7 +85,6 @@ fn start_with(net: &Network<Envelope>, disk: Arc<MemDisk>, lg: LoggingConfig) ->
         Ok(v.to_le_bytes().to_vec())
     })
     .start(net, disk)
-    .unwrap()
 }
 
 fn call_u64(c: &mut MspClient, method: &str) -> u64 {
@@ -482,5 +492,59 @@ fn restart_reads_the_log_image_once() {
     );
     assert_eq!(call_u64(&mut c, "tick"), 193);
     msp.shutdown();
+    net.shutdown();
+}
+
+#[test]
+fn a_frame_with_the_retired_tag_14_refuses_to_recover() {
+    // Tag 14 once framed operation-logged shared-variable updates. A log
+    // still holding one cannot be recovered by value: the frame is intact
+    // (magic, length, CRC), so it must not read as a torn tail that ends
+    // the log — recovery refuses the whole image instead.
+    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+    let disk = Arc::new(MemDisk::new());
+    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
+    let mut c = client(&net);
+    for i in 1..=3u64 {
+        assert_eq!(call_u64(&mut c, "tick"), i);
+    }
+    msp.crash();
+
+    // A SharedWrite-shaped body under the retired tag, framed as the log
+    // frames every record: [0xA5][len u32 LE][crc32 u32 LE][payload].
+    let mut payload = LogRecord::SharedWrite {
+        session: SessionId(1),
+        var: VarId(0),
+        value: 1u64.to_le_bytes().to_vec(),
+        writer_dv: DependencyVector::new(),
+        prev_write: Lsn::NULL,
+    }
+    .to_bytes();
+    payload[0] = 14;
+    assert!(matches!(
+        LogRecord::from_bytes(&payload),
+        Err(CodecError::InvalidTag {
+            context: "LogRecord",
+            tag: 14
+        })
+    ));
+    let mut frame = vec![0xA5];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&msp_wal::crc::crc32(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let at = disk.len();
+    disk.write(at, &frame).unwrap();
+
+    let mut lg = logging(u64::MAX);
+    lg.checkpoints_enabled = false;
+    match try_start_with(&net, Arc::clone(&disk), lg) {
+        Err(MspError::LogCorrupt { offset, .. }) => assert_eq!(offset, at),
+        Err(e) => panic!("expected LogCorrupt, got {e}"),
+        Ok(msp) => {
+            let epoch = msp.epoch();
+            msp.shutdown();
+            panic!("recovered into epoch {epoch:?} over a retired record");
+        }
+    }
     net.shutdown();
 }

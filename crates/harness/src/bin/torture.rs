@@ -9,10 +9,9 @@
 //! ```
 //!
 //! Without `--shape`, each seed rotates through the workload shapes
-//! (default / shared-heavy / session-churn / deep-chain / striped-churn /
-//! adaptive-ops) so a sweep covers all of them — including the scale-out
-//! striped+sharded configuration and the adaptive value/operation logging
-//! diet — without multiplying its runtime.
+//! (default / shared-heavy / session-churn / deep-chain / striped-churn)
+//! so a sweep covers all of them — including the scale-out
+//! striped+sharded configuration — without multiplying its runtime.
 //!
 //! `--long-run` switches to the bounded-log tier: continuous traffic
 //! under a byte-driven checkpoint/truncate loop with fixed-cadence MSP1

@@ -81,23 +81,15 @@ pub enum WorkloadShape {
     /// exactly-once oracle must hold across shard-routed sessions. The
     /// post-mortem audit switches to the striped (merged-gsn) scan.
     StripedChurn,
-    /// The Default traffic mix, but every shared-variable RMW routes
-    /// through the registered `bump` shared op and both MSPs run with
-    /// `adaptive_logging`: the per-variable diet decides between compact
-    /// `SharedOp` records and value-logged pairs live, and recovery must
-    /// roll the variables forward through op re-execution — under the
-    /// same crash schedule the Default shape draws.
-    AdaptiveOps,
 }
 
 impl WorkloadShape {
-    pub const ALL: [WorkloadShape; 6] = [
+    pub const ALL: [WorkloadShape; 5] = [
         WorkloadShape::Default,
         WorkloadShape::SharedHeavy,
         WorkloadShape::SessionChurn,
         WorkloadShape::DeepChain,
         WorkloadShape::StripedChurn,
-        WorkloadShape::AdaptiveOps,
     ];
 
     pub fn name(self) -> &'static str {
@@ -107,7 +99,6 @@ impl WorkloadShape {
             WorkloadShape::SessionChurn => "session-churn",
             WorkloadShape::DeepChain => "deep-chain",
             WorkloadShape::StripedChurn => "striped-churn",
-            WorkloadShape::AdaptiveOps => "adaptive-ops",
         }
     }
 
@@ -540,9 +531,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         // truncation pressure is the long-run tier's job
         // ([`run_torture_long_run`]).
         checkpoint_interval_bytes: 0,
-        // The adaptive shape is the only schedule knob outside
-        // `Schedule::generate`: same draws as Default, different log diet.
-        adaptive_logging: opts.shape == WorkloadShape::AdaptiveOps,
     });
 
     let (res_tx, res_rx) = crossbeam_channel::unbounded::<Result<u64, String>>();
@@ -1141,7 +1129,6 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         log_stripes: if opts.striped { 2 } else { 0 },
         runtime_shards: if opts.striped { 2 } else { 1 },
         checkpoint_interval_bytes: opts.checkpoint_interval_bytes,
-        adaptive_logging: false,
     });
 
     let trace = std::env::var_os("TORTURE_TRACE").is_some();
@@ -1869,14 +1856,6 @@ mod tests {
         assert_eq!(plain.ms, churn.ms, "churn shape leaves m draws alone");
         assert_eq!(plain.events, churn.events, "and crash events too");
         assert!(plain.churn_after.iter().flatten().all(|&b| !b));
-
-        // Adaptive-ops changes the log diet, not the schedule: draw for
-        // draw it is the Default stream.
-        base.shape = WorkloadShape::AdaptiveOps;
-        let ops = Schedule::generate(&base);
-        assert_eq!(ops.ms, plain.ms, "adaptive-ops leaves m draws alone");
-        assert_eq!(ops.events, plain.events, "and crash events too");
-        assert!(ops.churn_after.iter().flatten().all(|&b| !b));
     }
 
     #[test]

@@ -100,67 +100,6 @@ fn reply_bytes(k: u64, sv_counter: u64) -> Vec<u8> {
 /// the exact instant §5.4 kills MSP2.
 pub type AfterReplyHook = Arc<dyn Fn() + Send + Sync>;
 
-/// Name of the registered shared operation the op-based workload routes
-/// every shared-variable RMW through (`MspBuilder::shared_op`).
-pub const BUMP_OP: &str = "bump";
-
-/// The operation itself: increment the 128-byte counter variable. Pure
-/// function of `(old, args)` — the determinism contract `apply_shared`
-/// replays against.
-pub fn bump_op(old: &[u8], _args: &[u8]) -> Vec<u8> {
-    bump_counter_value(old).1
-}
-
-/// Op-based "read and write SVx": the same counter bump as
-/// [`touch_shared`], but routed through [`BUMP_OP`] so the runtime can
-/// pick the log representation (a compact `SharedOp` under
-/// `adaptive_logging`, the value-logged pair otherwise). The caller never
-/// sees the value — replies from the op-based methods carry 0 in the
-/// shared-counter slot and the oracle checks the variables directly.
-fn touch_shared_op(ctx: &mut ServiceContext<'_>, name: &str) -> Result<(), String> {
-    ctx.apply_shared(name, BUMP_OP, &[])
-}
-
-/// `ServiceMethod2` with every shared-variable RMW routed through the
-/// registered [`BUMP_OP`] — the adaptive-logging-diet variant of
-/// [`service_method2`].
-pub fn service_method2_ops(
-    ctx: &mut ServiceContext<'_>,
-    _payload: &[u8],
-) -> Result<Vec<u8>, String> {
-    touch_shared_op(ctx, "SV2")?;
-    touch_shared_op(ctx, "SV3")?;
-    let k = modify_session_state(ctx);
-    Ok(reply_bytes(k, 0))
-}
-
-/// Op-based `ServiceMethod1` — see [`make_service_method1`] for the hook
-/// plumbing and [`service_method2_ops`] for the shared-variable change.
-pub fn make_service_method1_ops(
-    hook: Option<AfterReplyHook>,
-    hook_every: u64,
-) -> impl Fn(&mut ServiceContext<'_>, &[u8]) -> Result<Vec<u8>, String> + Send + Sync + 'static {
-    let live_calls = Arc::new(AtomicU64::new(0));
-    move |ctx, payload| {
-        let m = payload.first().copied().unwrap_or(1).max(1);
-        touch_shared_op(ctx, "SV0")?;
-        for _ in 0..m {
-            ctx.call(MSP2, "ServiceMethod2", payload)?;
-            if let Some(hook) = &hook {
-                if !ctx.is_replaying() {
-                    let n = live_calls.fetch_add(1, Ordering::Relaxed) + 1;
-                    if hook_every > 0 && n.is_multiple_of(hook_every) {
-                        hook();
-                    }
-                }
-            }
-        }
-        touch_shared_op(ctx, "SV1")?;
-        let k = modify_session_state(ctx);
-        Ok(reply_bytes(k, 0))
-    }
-}
-
 /// `ServiceMethod2` as registered at MSP2.
 pub fn service_method2(ctx: &mut ServiceContext<'_>, _payload: &[u8]) -> Result<Vec<u8>, String> {
     let sv = touch_shared(ctx, "SV2")?;

@@ -19,8 +19,7 @@ use msp_wal::{DiskModel, FaultPlan, FlushPolicy, MemDisk};
 
 use crate::metrics::{RecoveryPhases, Series};
 use crate::workload::{
-    self, initial_shared, make_service_method1, make_service_method1_ops, request_payload,
-    AfterReplyHook, MSP1, MSP2,
+    self, initial_shared, make_service_method1, request_payload, AfterReplyHook, MSP1, MSP2,
 };
 
 /// Log flush scheduling (§5.5 and beyond).
@@ -120,12 +119,6 @@ pub struct WorldOptions {
     /// truncate behind the reclaim floor) once this many log bytes have
     /// accumulated since the last one. `0` leaves the timer in charge.
     pub checkpoint_interval_bytes: u64,
-    /// Route every shared-variable RMW of the workload through the
-    /// registered `bump` shared op and run the MSPs with
-    /// `adaptive_logging` — the per-variable value/operation logging
-    /// diet. Off, the workload uses the classic value-logged
-    /// `update_shared` path (byte-identical logs to the pre-diet rig).
-    pub adaptive_logging: bool,
 }
 
 impl WorldOptions {
@@ -144,7 +137,6 @@ impl WorldOptions {
             log_stripes: 0,
             runtime_shards: 1,
             checkpoint_interval_bytes: 0,
-            adaptive_logging: false,
         }
     }
 }
@@ -188,35 +180,17 @@ impl MspSlot {
         if let Some(plan) = self.fault.lock().clone() {
             b = b.fault_plan(plan);
         }
-        // The bump op is registered on every incarnation (registration
-        // writes nothing to the log); the service methods route through it
-        // only on the adaptive-logging worlds.
-        b = b.shared_op(workload::BUMP_OP, workload::bump_op);
-        let ops = self.cfg.adaptive_logging;
         b = if self.id == MSP1 {
-            let b = b
-                .shared_var("SV0", initial_shared())
-                .shared_var("SV1", initial_shared());
-            if ops {
-                b.service(
-                    "ServiceMethod1",
-                    make_service_method1_ops(self.hook.clone(), self.hook_every),
-                )
-            } else {
-                b.service(
+            b.shared_var("SV0", initial_shared())
+                .shared_var("SV1", initial_shared())
+                .service(
                     "ServiceMethod1",
                     make_service_method1(self.hook.clone(), self.hook_every),
                 )
-            }
         } else {
-            let b = b
-                .shared_var("SV2", initial_shared())
-                .shared_var("SV3", initial_shared());
-            if ops {
-                b.service("ServiceMethod2", workload::service_method2_ops)
-            } else {
-                b.service("ServiceMethod2", workload::service_method2)
-            }
+            b.shared_var("SV2", initial_shared())
+                .shared_var("SV3", initial_shared())
+                .service("ServiceMethod2", workload::service_method2)
         };
         b.start_with_disks(
             &self.net,
@@ -441,8 +415,7 @@ impl World {
                 .with_logging(logging.clone())
                 .with_durability_watermarks(opts.durability_watermarks)
                 .with_log_stripes(opts.log_stripes)
-                .with_runtime_shards(opts.runtime_shards)
-                .with_adaptive_logging(opts.adaptive_logging);
+                .with_runtime_shards(opts.runtime_shards);
             c.rpc_timeout = Duration::from_millis(15);
             c.flush_retry_limit = 2_000;
             c

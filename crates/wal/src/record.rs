@@ -238,24 +238,6 @@ pub enum LogRecord {
         writer_dv: DependencyVector,
         prev_write: Lsn,
     },
-    /// Operation logging of a shared-variable read-modify-write (the
-    /// adaptive logging diet, after "Adaptive Logging for Distributed
-    /// In-memory Databases"): instead of the `SharedRead` + `SharedWrite`
-    /// value pair, log only the registered operation's id and arguments;
-    /// recovery recomputes the value by re-running the operation.
-    /// `writer_dv` is the writer session's DV merged with the variable's
-    /// DV at update time — the op both reads and writes the variable, so
-    /// one vector carries the full dependency closure (and makes every
-    /// op chain DV a superset of its predecessors') — and `prev_write`
-    /// is the variable's backward chain, exactly as in `SharedWrite`.
-    SharedOp {
-        session: SessionId,
-        var: VarId,
-        op: u32,
-        args: Vec<u8>,
-        writer_dv: DependencyVector,
-        prev_write: Lsn,
-    },
     /// A shared-variable checkpoint: the value is never an orphan (a
     /// distributed flush preceded it) and the backward chain breaks here.
     SharedCheckpoint { var: VarId, value: Vec<u8> },
@@ -316,7 +298,10 @@ mod tag {
     pub const EOS: u8 = 11;
     pub const OUTGOING_BIND: u8 = 12;
     pub const STRIPED: u8 = 13;
-    pub const SHARED_OP: u8 = 14;
+    // 14 is retired: it tagged the operation-logged `SharedOp` record
+    // (shared variables are logged by value only). Never reuse it — a
+    // log that still holds such a frame must fail to decode and refuse
+    // to recover, not be read as some other record.
 }
 
 impl LogRecord {
@@ -341,7 +326,6 @@ impl LogRecord {
             // the writing session's replay stream — the recovery scan
             // handles that explicitly via the record's `session` field.)
             LogRecord::SharedWrite { .. }
-            | LogRecord::SharedOp { .. }
             | LogRecord::SharedCheckpoint { .. }
             | LogRecord::MspCheckpoint(_)
             | LogRecord::RecoveryAnnouncement(_)
@@ -356,7 +340,6 @@ impl LogRecord {
             LogRecord::ReplyReceive { .. } => "ReplyReceive",
             LogRecord::SharedRead { .. } => "SharedRead",
             LogRecord::SharedWrite { .. } => "SharedWrite",
-            LogRecord::SharedOp { .. } => "SharedOp",
             LogRecord::SharedCheckpoint { .. } => "SharedCheckpoint",
             LogRecord::SessionCheckpoint { .. } => "SessionCheckpoint",
             LogRecord::MspCheckpoint(_) => "MspCheckpoint",
@@ -435,22 +418,6 @@ impl Encode for LogRecord {
                 session.encode(buf);
                 var.encode(buf);
                 codec::put_bytes(buf, value);
-                writer_dv.encode(buf);
-                prev_write.encode(buf);
-            }
-            LogRecord::SharedOp {
-                session,
-                var,
-                op,
-                args,
-                writer_dv,
-                prev_write,
-            } => {
-                codec::put_u8(buf, tag::SHARED_OP);
-                session.encode(buf);
-                var.encode(buf);
-                codec::put_u32(buf, *op);
-                codec::put_bytes(buf, args);
                 writer_dv.encode(buf);
                 prev_write.encode(buf);
             }
@@ -542,14 +509,6 @@ impl Decode for LogRecord {
                 writer_dv: DependencyVector::decode(buf)?,
                 prev_write: Lsn::decode(buf)?,
             },
-            tag::SHARED_OP => LogRecord::SharedOp {
-                session: SessionId::decode(buf)?,
-                var: VarId::decode(buf)?,
-                op: codec::get_u32(buf)?,
-                args: codec::get_bytes(buf)?,
-                writer_dv: DependencyVector::decode(buf)?,
-                prev_write: Lsn::decode(buf)?,
-            },
             tag::SHARED_CHECKPOINT => LogRecord::SharedCheckpoint {
                 var: VarId::decode(buf)?,
                 value: codec::get_bytes(buf)?,
@@ -634,14 +593,6 @@ mod tests {
                 value: vec![7; 128],
                 writer_dv: dv,
                 prev_write: Lsn(512),
-            },
-            LogRecord::SharedOp {
-                session: SessionId(1),
-                var: VarId(0),
-                op: 2,
-                args: vec![5; 8],
-                writer_dv: DependencyVector::from_entries([(MspId(1), state(0, 11))]),
-                prev_write: Lsn(640),
             },
             LogRecord::SharedCheckpoint {
                 var: VarId(3),

@@ -333,9 +333,9 @@ impl StripedLog {
     fn route(&self, record: &LogRecord) -> usize {
         let n = self.stripes.len();
         match record {
-            LogRecord::SharedWrite { var, .. }
-            | LogRecord::SharedOp { var, .. }
-            | LogRecord::SharedCheckpoint { var, .. } => hash_route(u64::from(var.0), n),
+            LogRecord::SharedWrite { var, .. } | LogRecord::SharedCheckpoint { var, .. } => {
+                hash_route(u64::from(var.0), n)
+            }
             _ => match record.session() {
                 Some(session) => hash_route(session.0, n),
                 None => 0,

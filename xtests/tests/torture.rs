@@ -127,6 +127,27 @@ fn striped_churn_holds_exactly_once_under_crash_storms() {
     }
 }
 
+/// Seed 4 on `LoOptimistic` with the binary's defaults (10 requests per
+/// client, 3 crash events) is the schedule on which the retired
+/// operation-logging diet re-executed `ServiceMethod2` after MSP1's
+/// `mid-append` crash ("MSP2 SV2 counter is 390, want 388") in about a
+/// third of runs. The same draws, logged by value, must hold the oracle;
+/// reproduce with `cargo run --release --bin torture -- --seed-base 4
+/// --seeds 1 --config LoOptimistic --shape default --requests 10 --events 3`.
+#[test]
+fn seed_4_shared_state_storm_holds_exactly_once() {
+    let mut opts = TortureOptions::new(4, SystemConfig::LoOptimistic);
+    opts.requests_per_client = 10;
+    opts.crash_events = 3;
+    opts.settle_timeout = Duration::from_secs(90);
+    let report = run(&opts);
+    assert!(report.crashes > 0, "storm injected no crashes: {report}");
+    assert!(
+        report.scheduled_recovery_events > 0,
+        "schedule carried no crash-during-recovery event: {report}"
+    );
+}
+
 /// Seed 13 on `Pessimistic` arms `CheckpointWrite` on MSP2 with a
 /// countdown that, when it was pinned, expired inside a forced-checkpoint
 /// batch (the kill lands between two sessions of one tick). Which
