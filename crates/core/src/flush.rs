@@ -26,9 +26,17 @@
 //! [`MspError::OrphanDependency`] — at settle time, exactly as under the
 //! old blocking call — and the caller initiates session (or
 //! shared-variable) orphan recovery.
+//!
+//! The participant's side needs no waiting thread either. The dispatcher
+//! answers a `FlushRequest` itself ([`MspInner::answer_flush_request`]):
+//! a verdict it can give at once (older or future epoch, the
+//! `FlushServe` fault point, an LSN already durable) is sent before the
+//! next envelope is read; a current-epoch LSN still in the volatile tail
+//! becomes a flush ticket whose settle callback sends the `FlushReply`
+//! from the flusher. So any number of requests ride one device flush.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crossbeam_channel::Sender;
@@ -36,8 +44,9 @@ use parking_lot::{Condvar, Mutex};
 
 use msp_net::EndpointId;
 use msp_types::{DependencyVector, Epoch, Lsn, MspError, MspId, MspResult, StateId};
+use msp_wal::Wal;
 
-use crate::envelope::Envelope;
+use crate::envelope::{DurableHint, Envelope};
 use crate::runtime::{MspInner, ReleaseCmd};
 
 /// One remote participant of a distributed flush.
@@ -70,8 +79,8 @@ impl GateState {
 /// once the local flush ticket and every remote `FlushRequest` have
 /// acknowledged, or fails with the same error the blocking call would
 /// have returned. Completion events arrive from the local flusher (via
-/// the ticket waker) and from the dispatcher's `FlushReply` arm; each one
-/// also nudges the owning MSP's reply-release stage.
+/// the ticket waker) and from the dispatcher's `FlushReply` arm; the one
+/// that settles the gate also nudges the release stage it is parked in.
 pub(crate) struct DurabilityGate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -79,10 +88,11 @@ pub(crate) struct DurabilityGate {
     /// The reclaim floor folds this in: log bytes a still-pending gate
     /// waits on must never be truncated out from under it.
     local_lsn: Option<Lsn>,
-    /// One nudge feed per runtime shard: the gate does not know which
-    /// shard (if any) parked an envelope on it, so progress fans out to
-    /// every release stage.
-    nudge: Vec<Sender<ReleaseCmd>>,
+    /// The release stage an envelope parked on this gate waits in, set by
+    /// [`MspInner::park_envelope`] before it sends the `Park`; unset for
+    /// gates settled in place. A gate that settles before the hand-off
+    /// loses nothing: the stage scans after every `Park`.
+    release: OnceLock<Sender<ReleaseCmd>>,
 }
 
 /// Gate failures are produced locally from a closed set of variants;
@@ -104,11 +114,7 @@ fn clone_gate_err(e: &MspError) -> MspError {
 }
 
 impl DurabilityGate {
-    fn new(
-        legs: Vec<RemoteLeg>,
-        local_lsn: Option<Lsn>,
-        nudge: Vec<Sender<ReleaseCmd>>,
-    ) -> Arc<DurabilityGate> {
+    fn new(legs: Vec<RemoteLeg>, local_lsn: Option<Lsn>) -> Arc<DurabilityGate> {
         let remote_pending = legs.len();
         Arc::new(DurabilityGate {
             state: Mutex::new(GateState {
@@ -119,8 +125,14 @@ impl DurabilityGate {
             }),
             cv: Condvar::new(),
             local_lsn,
-            nudge,
+            release: OnceLock::new(),
         })
+    }
+
+    /// Hand the gate the release stage its envelope is about to be parked
+    /// in. A gate is parked at most once.
+    pub(crate) fn set_release(&self, tx: Sender<ReleaseCmd>) {
+        let _ = self.release.set(tx);
     }
 
     /// The local LSN this gate still waits on, or `None` once settled
@@ -147,7 +159,7 @@ impl DurabilityGate {
 
     fn wake(&self) {
         self.cv.notify_all();
-        for tx in &self.nudge {
+        if let Some(tx) = self.release.get() {
             let _ = tx.send(ReleaseCmd::Nudge);
         }
     }
@@ -286,7 +298,7 @@ impl MspInner {
                 done: false,
             })
             .collect();
-        let gate = DurabilityGate::new(legs, local_lsn, self.nudge_senders());
+        let gate = DurabilityGate::new(legs, local_lsn);
 
         // Fire all remote requests first so they overlap with the local
         // flush (parallel flushes, §3.1 / §5.2).
@@ -441,25 +453,53 @@ impl MspInner {
         }
     }
 
-    /// Serve a peer's flush request: make our state `(epoch, lsn)`
-    /// durable, or report it lost.
-    pub(crate) fn serve_flush_request(&self, epoch: Epoch, lsn: Lsn) -> bool {
+    /// Answer a peer's `FlushRequest` for our state `(epoch, lsn)` — the
+    /// one flush-service path, run on the dispatcher and never blocking
+    /// it. The reply says `ok` iff the state is durable (or survived a
+    /// recovery); `false` means lost, and makes the requester an orphan.
+    /// A current-epoch LSN not yet durable is answered by its flush
+    /// ticket's settle callback, so any number of requests wait on the
+    /// device together and none holds a thread.
+    pub(crate) fn answer_flush_request(
+        self: &Arc<Self>,
+        from: EndpointId,
+        req_id: u64,
+        epoch: Epoch,
+        lsn: Lsn,
+    ) {
         self.stats
             .flush_requests_served
             .fetch_add(1, Ordering::Relaxed);
-        if !self.is_log_based() {
-            return false;
-        }
-        // Torture-rig crash site: the serving participant dies inside a
-        // peer's gate issue→settle window, so the peer's parked envelope
-        // must ride out a flush-leg retry against our restart.
-        if self.log().fault_point(msp_wal::CrashPoint::FlushServe) {
-            return false;
-        }
         let current = self.epoch();
-        if epoch == current {
+        let ok = if !self.is_log_based() {
+            false
+        } else if self.log().fault_point(msp_wal::CrashPoint::FlushServe) {
+            // Torture-rig crash site: the serving participant dies inside
+            // a peer's gate issue→settle window, so the peer's parked
+            // envelope must ride out a flush-leg retry against our restart.
+            false
+        } else if epoch == current {
             // The state is in our current incarnation's log: flush it.
-            self.log().flush_to(lsn).is_ok()
+            // The callback holds the runtime weakly: the ticket lives in
+            // the log this runtime owns (a strong reference would be a
+            // cycle), and the flusher that settles it must never drop the
+            // last reference — dropping the log joins that flusher. An
+            // already-durable LSN settles inline, right here.
+            let inner = Arc::downgrade(self);
+            self.log().flush_to_async(lsn).on_settle(move |ok| {
+                if let Some(inner) = inner.upgrade() {
+                    let durable = if ok { inner.settled_hint(lsn) } else { None };
+                    inner.send(
+                        from,
+                        Envelope::FlushReply {
+                            req_id,
+                            ok,
+                            durable,
+                        },
+                    );
+                }
+            });
+            return;
         } else if epoch < current {
             // From a previous incarnation: it survived iff it is at or
             // below the recovered LSN of the first recovery after it —
@@ -470,7 +510,36 @@ impl MspInner {
             // A dependency on our future: can only mean a stale message
             // from before several crashes of the *requester*; refuse.
             false
-        }
+        };
+        // A successful ack carries our durable watermark, so the requester
+        // can skip redundant flushes of this (and any lower) dependency.
+        let durable = if ok { self.own_durable_hint() } else { None };
+        self.send(
+            from,
+            Envelope::FlushReply {
+                req_id,
+                ok,
+                durable,
+            },
+        );
+    }
+
+    /// Our durable watermark when a flush ticket for `lsn` settles `ok`,
+    /// read on the flusher that settled it. The single log's horizon is
+    /// one atomic load. The striped log's merged horizon is computed under
+    /// every stripe's lock, and an appender holds its stripe's lock while
+    /// it waits for that stripe's flusher to free a staging slot; so here
+    /// it is what the ticket proved: every record up to `lsn` is durable.
+    fn settled_hint(&self, lsn: Lsn) -> Option<DurableHint> {
+        let durable = match self.log() {
+            Wal::Single(log) => log.durable_lsn(),
+            Wal::Striped(_) => Lsn(lsn.0 + 1),
+        };
+        self.cfg.durability_watermarks.then(|| DurableHint {
+            msp: self.cfg.id,
+            epoch: self.epoch(),
+            durable,
+        })
     }
 
     /// Absorb a recovery broadcast (§3.1/§4): log it (and flush, so the

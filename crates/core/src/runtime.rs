@@ -6,16 +6,15 @@
 //!
 //! * **dispatcher** — drains the network endpoint and routes envelopes:
 //!   requests to the worker queue, replies/flush-acks to their waiting
-//!   callers, infrastructure traffic to the infra threads;
+//!   callers. It also serves the infrastructure traffic itself, without
+//!   waiting on anything: a peer's `FlushRequest` is answered at once or
+//!   from a flush ticket's settle callback (see [`crate::flush`]), and a
+//!   recovery broadcast is absorbed as gossiped recovery records are;
 //! * **workers** (the paper's thread pool, §2.1) — process requests,
 //!   run session orphan recovery and forced checkpoints. The pool is
 //!   oversubscribed in threads but bounded by run tokens, so a worker
 //!   waiting out a pipelined durability gate or RPC reply hands its
 //!   capacity to a sibling thread instead of idling;
-//! * **infra** — serve distributed-log-flush requests and recovery
-//!   broadcasts; kept separate from the workers so that flush service
-//!   can never deadlock behind requests that are themselves waiting for
-//!   remote flushes;
 //! * **release** — the pending-release stage of the asynchronous
 //!   durability pipeline: *envelopes* (client replies and cross-domain
 //!   outgoing sends alike) whose distributed flush was issued but not
@@ -71,8 +70,8 @@ pub const END_SESSION_METHOD: &str = "__end_session";
 thread_local! {
     /// Whether this thread currently holds a run token of its MSP's
     /// worker pool. Only token holders hand capacity back while waiting
-    /// out a pipelined gate or reply — infra, release, and recovery
-    /// threads reaching the same waits just wait.
+    /// out a pipelined gate or reply — release and recovery threads
+    /// reaching the same waits just wait.
     static HOLDS_RUN_TOKEN: Cell<bool> = const { Cell::new(false) };
     /// Which runtime shard's token pool this worker thread belongs to.
     /// Set once at worker spawn; other threads keep the 0 default and
@@ -256,17 +255,6 @@ pub(crate) fn fifo_blocked<T>(entries: &[T], i: usize, session: impl Fn(&T) -> S
     entries[..i]
         .iter()
         .any(|e| session(e) == session(&entries[i]))
-}
-
-/// Infrastructure traffic handled off the worker pool.
-pub(crate) enum InfraItem {
-    Flush {
-        from: EndpointId,
-        req_id: u64,
-        epoch: Epoch,
-        lsn: Lsn,
-    },
-    Recovery(msp_types::RecoveryRecord),
 }
 
 /// Operation counters of a runtime.
@@ -515,7 +503,6 @@ pub struct MspInner {
     /// tokens and release stage. Sessions hash onto them via
     /// [`MspInner::shard_of`].
     pub(crate) shards: Vec<ShardRt>,
-    pub(crate) infra_tx: Sender<InfraItem>,
     pub(crate) pending_replies: Mutex<HashMap<(SessionId, RequestSeq), Sender<ReplyMsg>>>,
     /// Outstanding flush RPCs: request id → (gate, remote-leg index).
     pub(crate) pending_flushes: Mutex<HashMap<u64, (Arc<crate::flush::DurabilityGate>, usize)>>,
@@ -648,22 +635,12 @@ impl MspInner {
     }
 
     /// Park an envelope in its session's release stage. `false` means the
-    /// stage is gone (stopping) and the envelope was not parked.
+    /// stage is gone (stopping) and the envelope was not parked. The gate
+    /// learns the stage first, so its settlement nudges that stage only.
     pub(crate) fn park_envelope(&self, parked: ParkedEnvelope) -> bool {
-        let shard = self.shard_of(parked.session);
-        self.shards[shard]
-            .release_tx
-            .send(ReleaseCmd::Park(parked))
-            .is_ok()
-    }
-
-    /// One nudge sender per shard, for gates: a gate does not know which
-    /// shard parked on it (the blocking settle path parks nothing), so
-    /// progress nudges fan out to every release stage. Nudges are rare
-    /// (per gate-leg settlement, not per request) and an idle stage
-    /// absorbs one in a `try_recv`.
-    pub(crate) fn nudge_senders(&self) -> Vec<Sender<ReleaseCmd>> {
-        self.shards.iter().map(|s| s.release_tx.clone()).collect()
+        let tx = &self.shards[self.shard_of(parked.session)].release_tx;
+        parked.gate.set_release(tx.clone());
+        tx.send(ReleaseCmd::Park(parked)).is_ok()
     }
 
     /// Look up or create the session cell for an incoming session id.
@@ -1480,7 +1457,7 @@ impl MspInner {
 
     /// Hand this worker's run token back to the pool for the duration of
     /// a pipelined wait. Only pool threads hold tokens — on any other
-    /// thread (infra, release, recovery pool) this is a no-op. Returns
+    /// thread (dispatcher, release, recovery pool) this is a no-op. Returns
     /// whether a token was released and must be re-acquired.
     fn park_run_token(&self) -> bool {
         if !HOLDS_RUN_TOKEN.with(|t| t.get()) {
@@ -1544,14 +1521,7 @@ impl MspInner {
                     req_id,
                     epoch,
                     lsn,
-                } => {
-                    let _ = self.infra_tx.send(InfraItem::Flush {
-                        from,
-                        req_id,
-                        epoch,
-                        lsn,
-                    });
-                }
+                } => self.answer_flush_request(from, req_id, epoch, lsn),
                 Envelope::FlushReply {
                     req_id,
                     ok,
@@ -1565,9 +1535,7 @@ impl MspInner {
                         gate.remote_ack(leg, ok);
                     }
                 }
-                Envelope::Recovery(rec) => {
-                    let _ = self.infra_tx.send(InfraItem::Recovery(rec));
-                }
+                Envelope::Recovery(rec) => self.absorb_recovery_broadcast(rec),
                 Envelope::StateResp { req_id, value } => {
                     let waiter = self.pending_state.lock().remove(&req_id);
                     if let Some(tx) = waiter {
@@ -1726,39 +1694,6 @@ impl MspInner {
             *retired = retired.merge(&cache.pool().stats());
         }
         self.recovery_done.store(true, Ordering::Release);
-    }
-
-    fn infra_loop(self: Arc<Self>, infra_rx: Receiver<InfraItem>) {
-        while !self.stopped() {
-            let item = match infra_rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(item) => item,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
-            };
-            match item {
-                InfraItem::Flush {
-                    from,
-                    req_id,
-                    epoch,
-                    lsn,
-                } => {
-                    let ok = self.serve_flush_request(epoch, lsn);
-                    // A successful ack carries our durable watermark so the
-                    // requester can skip redundant flushes of this (and any
-                    // lower) dependency from now on.
-                    let durable = if ok { self.own_durable_hint() } else { None };
-                    self.send(
-                        from,
-                        Envelope::FlushReply {
-                            req_id,
-                            ok,
-                            durable,
-                        },
-                    );
-                }
-                InfraItem::Recovery(rec) => self.absorb_recovery_broadcast(rec),
-            }
-        }
     }
 
     /// The pending-release stage (asynchronous durability pipeline),
@@ -2109,7 +2044,6 @@ impl MspBuilder {
             work_rxs.push(work_rx);
             release_rxs.push(release_rx);
         }
-        let (infra_tx, infra_rx) = crossbeam_channel::unbounded();
         let inner = Arc::new(MspInner {
             cfg: self.cfg,
             cluster: self.cluster,
@@ -2124,7 +2058,6 @@ impl MspBuilder {
             shared: self.shared,
             services: self.services,
             shards,
-            infra_tx,
             pending_replies: Mutex::new(HashMap::new()),
             pending_flushes: Mutex::new(HashMap::new()),
             pending_state: Mutex::new(HashMap::new()),
@@ -2170,16 +2103,6 @@ impl MspBuilder {
                         .map_err(MspError::Io)?,
                 );
             }
-        }
-        for n in 0..2 {
-            let i = Arc::clone(&inner);
-            let rx = infra_rx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{}-infra{n}", inner.cfg.id))
-                    .spawn(move || i.infra_loop(rx))
-                    .map_err(MspError::Io)?,
-            );
         }
         if log_based {
             for (shard, release_rx) in release_rxs.into_iter().enumerate() {

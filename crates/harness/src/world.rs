@@ -687,7 +687,20 @@ mod tests {
             let r = c.call(MSP1, "ServiceMethod1", &request_payload(1)).unwrap();
             assert_eq!(reply_counter(&r), i, "exactly-once across injected crashes");
         }
+        // A crash counts once the controller's kill has joined MSP2's
+        // threads, which can land after the last reply of the loop; wait
+        // it out, then check exactly-once across it with one more call.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while world.crash_count() < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert!(world.crash_count() >= 2, "crashes were injected");
+        let r = c.call(MSP1, "ServiceMethod1", &request_payload(1)).unwrap();
+        assert_eq!(
+            reply_counter(&r),
+            26,
+            "exactly-once across injected crashes"
+        );
         world.shutdown();
     }
 

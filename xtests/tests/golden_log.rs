@@ -148,7 +148,7 @@ fn recovery_complete_and_announcements_reach_the_log() {
     c.call(M1, "relay", &[]).unwrap();
     m2.crash();
     let m2 = build_m2(&net);
-    // Give M1's infra thread a moment to log the broadcast.
+    // Give M1's dispatcher a moment to log the broadcast.
     std::thread::sleep(Duration::from_millis(50));
     m1.shutdown();
     m2.shutdown();
