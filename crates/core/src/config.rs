@@ -142,11 +142,6 @@ pub struct MspConfig {
     /// before giving up (it normally stops earlier: either the participant
     /// answers or its recovery broadcast marks the requester orphan).
     pub flush_retry_limit: u32,
-    /// Track peers' durable watermarks and elide distributed-flush work
-    /// for dependencies already known durable (§3.1 fast path). Purely an
-    /// optimisation: turning it off restores one flush RPC per remote
-    /// dependency per boundary crossing.
-    pub durability_watermarks: bool,
     /// Threads in the dedicated crash-recovery replay pool (Figure 12's
     /// parallel session replay). Separate from `workers` so replay never
     /// starves new sessions arriving mid-recovery.
@@ -196,7 +191,6 @@ impl MspConfig {
             workers: 8,
             rpc_timeout: Duration::from_millis(400),
             flush_retry_limit: 200,
-            durability_watermarks: true,
             recovery_threads: 4,
             replay_cache_blocks: 64,
             serial_recovery: false,
@@ -230,12 +224,6 @@ impl MspConfig {
     #[must_use]
     pub fn with_time_scale(mut self, scale: f64) -> MspConfig {
         self.time_scale = msp_types::checked_time_scale(scale);
-        self
-    }
-
-    #[must_use]
-    pub fn with_durability_watermarks(mut self, enabled: bool) -> MspConfig {
-        self.durability_watermarks = enabled;
         self
     }
 
@@ -324,20 +312,17 @@ mod tests {
     #[test]
     fn knob_builders() {
         let cfg = MspConfig::new(MspId(1), DomainId(1))
-            .with_durability_watermarks(false)
             .with_recovery_threads(8)
             .with_replay_cache_blocks(16)
             .with_serial_recovery(true)
             .with_log_stripes(4)
             .with_runtime_shards(2);
-        assert!(!cfg.durability_watermarks);
         assert_eq!(cfg.recovery_threads, 8);
         assert_eq!(cfg.replay_cache_blocks, 16);
         assert!(cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 4);
         assert_eq!(cfg.runtime_shards, 2);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
-        assert!(cfg.durability_watermarks);
         assert_eq!(cfg.recovery_threads, 4);
         assert_eq!(cfg.replay_cache_blocks, 64);
         assert!(!cfg.serial_recovery);

@@ -250,7 +250,6 @@ impl MspInner {
             .distributed_flushes
             .fetch_add(1, Ordering::Relaxed);
         let me = self.cfg.id;
-        let use_watermarks = self.cfg.durability_watermarks;
         let mut local: Option<Lsn> = None;
         let mut remote: Vec<(MspId, StateId)> = Vec::new();
         for (m, s) in dv.iter() {
@@ -265,7 +264,7 @@ impl MspInner {
                 // Watermark elision: a dependency provably durable at the
                 // peer (same epoch, strictly below its reported durable
                 // end) needs no flush RPC — durability never un-happens.
-                if use_watermarks && self.watermarks.lock().covers(m, s) {
+                if self.watermarks.lock().covers(m, s) {
                     self.stats.flush_rpcs_elided.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
@@ -276,7 +275,7 @@ impl MspInner {
         // exclusive end of the durable prefix, so a record starting at
         // `lsn` is durable iff `durable > lsn`.
         let local_lsn = match local {
-            Some(lsn) if use_watermarks && self.log().durable_lsn() > lsn => {
+            Some(lsn) if self.log().durable_lsn() > lsn => {
                 self.stats.flushes_elided.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -488,7 +487,7 @@ impl MspInner {
             let inner = Arc::downgrade(self);
             self.log().flush_to_async(lsn).on_settle(move |ok| {
                 if let Some(inner) = inner.upgrade() {
-                    let durable = if ok { inner.settled_hint(lsn) } else { None };
+                    let durable = ok.then(|| inner.settled_hint(lsn));
                     inner.send(
                         from,
                         Envelope::FlushReply {
@@ -530,16 +529,16 @@ impl MspInner {
     /// every stripe's lock, and an appender holds its stripe's lock while
     /// it waits for that stripe's flusher to free a staging slot; so here
     /// it is what the ticket proved: every record up to `lsn` is durable.
-    fn settled_hint(&self, lsn: Lsn) -> Option<DurableHint> {
+    fn settled_hint(&self, lsn: Lsn) -> DurableHint {
         let durable = match self.log() {
             Wal::Single(log) => log.durable_lsn(),
             Wal::Striped(_) => Lsn(lsn.0 + 1),
         };
-        self.cfg.durability_watermarks.then(|| DurableHint {
+        DurableHint {
             msp: self.cfg.id,
             epoch: self.epoch(),
             durable,
-        })
+        }
     }
 
     /// Absorb a recovery broadcast (§3.1/§4): log it (and flush, so the

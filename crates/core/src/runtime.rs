@@ -555,12 +555,8 @@ impl MspInner {
     }
 
     /// Our own durable watermark, for piggybacking on intra-domain
-    /// messages and flush acknowledgements. `None` when watermarks are
-    /// disabled or there is no log.
+    /// messages and flush acknowledgements. `None` when there is no log.
     pub(crate) fn own_durable_hint(&self) -> Option<DurableHint> {
-        if !self.cfg.durability_watermarks {
-            return None;
-        }
         let log = self.log.as_ref()?;
         Some(DurableHint {
             msp: self.cfg.id,
@@ -603,7 +599,7 @@ impl MspInner {
     /// in-flight messages and are dropped — they must never resurrect a
     /// watermark that a recovery broadcast invalidated.
     pub(crate) fn absorb_durable_hint(&self, hint: &DurableHint) {
-        if !self.cfg.durability_watermarks || !self.is_log_based() || hint.msp == self.cfg.id {
+        if !self.is_log_based() || hint.msp == self.cfg.id {
             return;
         }
         if let Some(current) = self.knowledge.read().current_epoch(hint.msp) {

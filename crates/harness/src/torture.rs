@@ -513,7 +513,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         workers: 4,
         seed: opts.seed,
         crash_every: 0,
-        durability_watermarks: true,
         db_txn_overhead: Duration::ZERO,
         // The striped shape runs the scale-out configuration: WAL over
         // two stripes, runtime over two shards.
@@ -1124,7 +1123,6 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         workers: 4,
         seed: opts.seed,
         crash_every: 0,
-        durability_watermarks: true,
         db_txn_overhead: Duration::ZERO,
         log_stripes: if opts.striped { 2 } else { 0 },
         runtime_shards: if opts.striped { 2 } else { 1 },

@@ -104,9 +104,6 @@ pub struct WorldOptions {
     /// Arm the §5.4 fault injector: crash MSP2 after every `crash_every`
     /// live calls into ServiceMethod2 (0 = never).
     pub crash_every: u64,
-    /// Durability-watermark tracking (flush-RPC elision) on the log-based
-    /// configurations; ignored by the baselines.
-    pub durability_watermarks: bool,
     /// DB transaction overhead for the Psession baseline (unscaled).
     pub db_txn_overhead: Duration,
     /// Stripe each MSP's WAL across this many simulated disks (0 = the
@@ -132,7 +129,6 @@ impl WorldOptions {
             workers: 8,
             seed: 1,
             crash_every: 0,
-            durability_watermarks: true,
             db_txn_overhead: Duration::from_millis(4),
             log_stripes: 0,
             runtime_shards: 1,
@@ -413,7 +409,6 @@ impl World {
                 .with_time_scale(scale)
                 .with_workers(opts.workers)
                 .with_logging(logging.clone())
-                .with_durability_watermarks(opts.durability_watermarks)
                 .with_log_stripes(opts.log_stripes)
                 .with_runtime_shards(opts.runtime_shards);
             c.rpc_timeout = Duration::from_millis(15);

@@ -27,21 +27,16 @@ fn cluster() -> ClusterConfig {
         .with_msp(BACK, DomainId(1))
 }
 
-fn cfg(id: MspId, watermarks: bool) -> MspConfig {
+fn cfg(id: MspId) -> MspConfig {
     let mut c = MspConfig::new(id, DomainId(1))
         .with_time_scale(0.0)
-        .with_workers(4)
-        .with_durability_watermarks(watermarks);
+        .with_workers(4);
     c.rpc_timeout = Duration::from_millis(60);
     c
 }
 
-fn start_back(
-    net: &Network<Envelope>,
-    disk: Arc<MemDisk>,
-    watermarks: bool,
-) -> msp_core::MspHandle {
-    MspBuilder::new(cfg(BACK, watermarks), cluster())
+fn start_back(net: &Network<Envelope>, disk: Arc<MemDisk>) -> msp_core::MspHandle {
+    MspBuilder::new(cfg(BACK), cluster())
         .disk_model(DiskModel::zero())
         .service("count", |ctx, _| {
             let n = ctx
@@ -56,12 +51,8 @@ fn start_back(
         .unwrap()
 }
 
-fn start_front(
-    net: &Network<Envelope>,
-    disk: Arc<MemDisk>,
-    watermarks: bool,
-) -> msp_core::MspHandle {
-    MspBuilder::new(cfg(FRONT, watermarks), cluster())
+fn start_front(net: &Network<Envelope>, disk: Arc<MemDisk>) -> msp_core::MspHandle {
+    MspBuilder::new(cfg(FRONT), cluster())
         .disk_model(DiskModel::zero())
         .service("relay", |ctx, payload| ctx.call(BACK, "count", payload))
         .service("local", |ctx, _| {
@@ -89,8 +80,8 @@ fn drive_local(client: &mut MspClient, from: u64, to: u64) {
 fn steady_state_elides_redundant_flush_rpcs() {
     let net: Network<Envelope> = Network::new(NetModel::zero(), 11);
     let (df, db) = (Arc::new(MemDisk::new()), Arc::new(MemDisk::new()));
-    let front = start_front(&net, df, true);
-    let back = start_back(&net, db, true);
+    let front = start_front(&net, df);
+    let back = start_back(&net, db);
     let mut client = MspClient::new(&net, 1, ClientOptions::default());
 
     // One relay call: the session DV now depends on BACK, and the
@@ -124,40 +115,14 @@ fn steady_state_elides_redundant_flush_rpcs() {
 }
 
 #[test]
-fn watermarks_off_flushes_every_time() {
-    let net: Network<Envelope> = Network::new(NetModel::zero(), 12);
-    let (df, db) = (Arc::new(MemDisk::new()), Arc::new(MemDisk::new()));
-    let front = start_front(&net, df, false);
-    let back = start_back(&net, db, false);
-    let mut client = MspClient::new(&net, 1, ClientOptions::default());
-
-    let r = client.call(FRONT, "relay", &[]).unwrap();
-    assert_eq!(u64::from_le_bytes(r[..8].try_into().unwrap()), 1);
-    drive_local(&mut client, 1, 20);
-
-    let fs = front.stats();
-    assert_eq!(fs.flush_rpcs_elided, 0, "elision is off, stats: {fs:?}");
-    assert_eq!(fs.flushes_elided, 0, "elision is off, stats: {fs:?}");
-    assert!(
-        back.stats().flush_requests_served >= 20,
-        "every client-bound reply must re-flush the BACK dependency, served {}",
-        back.stats().flush_requests_served
-    );
-    assert!(front.watermark_of(BACK).is_none());
-    front.shutdown();
-    back.shutdown();
-    net.shutdown();
-}
-
-#[test]
 fn peer_recovery_invalidates_the_watermark() {
     // Epoch safety: a watermark learned before a peer's crash must never
     // elide a flush afterwards — the recovery broadcast drops it, and the
     // next flush goes over the wire again.
     let net: Network<Envelope> = Network::new(NetModel::zero(), 13);
     let (df, db) = (Arc::new(MemDisk::new()), Arc::new(MemDisk::new()));
-    let front = start_front(&net, df, true);
-    let back = start_back(&net, Arc::clone(&db), true);
+    let front = start_front(&net, df);
+    let back = start_back(&net, Arc::clone(&db));
     let mut client = MspClient::new(&net, 1, ClientOptions::default());
 
     let r = client.call(FRONT, "relay", &[]).unwrap();
@@ -171,7 +136,7 @@ fn peer_recovery_invalidates_the_watermark() {
     // Crash BACK between watermark population and the next send; its
     // restart broadcasts the recovery within the domain.
     back.crash();
-    let back = start_back(&net, db, true);
+    let back = start_back(&net, db);
 
     // Wait until the front has absorbed the broadcast (async delivery):
     // it knows BACK's new epoch and has dropped the stale watermark.
