@@ -15,10 +15,13 @@
 //! ([`MspInner::distributed_flush_issue`]) that fires every leg — the
 //! local flush as a [`msp_wal::FlushTicket`], each remote dependency as a
 //! `FlushRequest` RPC — and returns a [`DurabilityGate`], and a **settle**
-//! phase that resolves once every leg has acknowledged. Callers that must
-//! block (checkpoints, session end, recovery resends) use
-//! [`MspInner::settle_gate`]; the runtime's reply-release stage instead
-//! parks the outgoing envelope on the gate and frees the worker.
+//! phase that resolves once every leg has acknowledged. A reply never
+//! waits on a thread: the runtime parks it on its gate in the
+//! pending-release stage and frees the worker. A cross-domain send waits
+//! in [`MspInner::settle_gate`] on its worker, which has handed its run
+//! token back to the pool for the hop. The only callers that block in
+//! [`MspInner::distributed_flush`] are the session, shared-variable and
+//! forced checkpoints, which hold a lock across the wait.
 //!
 //! A flush can *fail*: if a participant crashed and lost the requested
 //! state, the requester is an orphan — it carries a dependency on a state
@@ -80,7 +83,8 @@ impl GateState {
 /// acknowledged, or fails with the same error the blocking call would
 /// have returned. Completion events arrive from the local flusher (via
 /// the ticket waker) and from the dispatcher's `FlushReply` arm; the one
-/// that settles the gate also nudges the release stage it is parked in.
+/// that settles the gate wakes a thread settling it in place and nudges
+/// the release stage a reply on it is parked in.
 pub(crate) struct DurabilityGate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -88,7 +92,7 @@ pub(crate) struct DurabilityGate {
     /// The reclaim floor folds this in: log bytes a still-pending gate
     /// waits on must never be truncated out from under it.
     local_lsn: Option<Lsn>,
-    /// The release stage an envelope parked on this gate waits in, set by
+    /// The release stage a reply parked on this gate waits in, set by
     /// [`MspInner::park_envelope`] before it sends the `Park`; unset for
     /// gates settled in place. A gate that settles before the hand-off
     /// loses nothing: the stage scans after every `Park`.
@@ -129,7 +133,7 @@ impl DurabilityGate {
         })
     }
 
-    /// Hand the gate the release stage its envelope is about to be parked
+    /// Hand the gate the release stage its reply is about to be parked
     /// in. A gate is parked at most once.
     pub(crate) fn set_release(&self, tx: Sender<ReleaseCmd>) {
         let _ = self.release.set(tx);
@@ -335,7 +339,7 @@ impl MspInner {
         }
     }
 
-    /// Retry driver shared by the blocking settle and the reply-release
+    /// Retry driver shared by the in-place settle and the reply-release
     /// stage: fail the gate on shutdown or a newly learned lost
     /// dependency, resend overdue remote legs, give up past the retry
     /// limit. A no-op for gates that are settled or not yet overdue.
@@ -435,11 +439,10 @@ impl MspInner {
         );
     }
 
-    /// Fail every gate registered in `pending_flushes` (crash/stop path);
-    /// parked envelopes — replies and outgoing sends — on those gates are
-    /// then discarded by the release stage rather than ever leaving the
-    /// process (a parked send's waiting worker observes the failure over
-    /// its notify channel).
+    /// Fail every gate registered in `pending_flushes` (crash/stop path):
+    /// replies parked on those gates are then discarded by the release
+    /// stage rather than ever leaving the process, and a worker settling
+    /// one for its send returns the failure without sending.
     pub(crate) fn fail_pending_gates(&self) {
         let drained: Vec<(Arc<DurabilityGate>, usize)> = self
             .pending_flushes

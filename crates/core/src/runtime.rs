@@ -16,9 +16,8 @@
 //!   waiting out a pipelined durability gate or RPC reply hands its
 //!   capacity to a sibling thread instead of idling;
 //! * **release** — the pending-release stage of the asynchronous
-//!   durability pipeline: *envelopes* (client replies and cross-domain
-//!   outgoing sends alike) whose distributed flush was issued but not
-//!   yet settled are parked here (the envelope waits, not the worker)
+//!   durability pipeline: replies whose distributed flush was issued but
+//!   not yet settled are parked here (the reply waits, not the worker)
 //!   and leave in per-session order once their gate settles;
 //! * **checkpointer** — takes the periodic fuzzy MSP checkpoint (§3.4).
 //!
@@ -29,7 +28,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crossbeam_channel::{Receiver, Sender};
@@ -70,8 +69,8 @@ pub const END_SESSION_METHOD: &str = "__end_session";
 thread_local! {
     /// Whether this thread currently holds a run token of its MSP's
     /// worker pool. Only token holders hand capacity back while waiting
-    /// out a pipelined gate or reply — release and recovery threads
-    /// reaching the same waits just wait.
+    /// out a pipelined gate or reply — recovery threads reaching the
+    /// same waits just wait.
     static HOLDS_RUN_TOKEN: Cell<bool> = const { Cell::new(false) };
     /// Which runtime shard's token pool this worker thread belongs to.
     /// Set once at worker spawn; other threads keep the 0 default and
@@ -83,7 +82,7 @@ thread_local! {
 /// token released by a parked worker always has an idle thread to land
 /// on, even when every other token holder parks too.
 const WORKER_OVERSUBSCRIPTION: usize = 4;
-/// Poll interval of token and notify waits, bounded so `stopped` is
+/// Poll interval of run-token and reply waits, bounded so `stopped` is
 /// observed promptly.
 const PARK_POLL: Duration = Duration::from_millis(20);
 /// Resends an outgoing call makes before reporting
@@ -181,9 +180,9 @@ impl RunTokens {
 pub(crate) enum WorkItem {
     Request(RequestMsg),
     RecoverSession(SessionId),
-    /// A parked reply's durability gate failed: run the same
-    /// orphan-recovery / transient-drop logic a failed blocking flush
-    /// would have run inline.
+    /// A parked reply's durability gate failed: run the orphan-recovery
+    /// / transient-drop logic of [`MspInner::after_infra_failure`] on the
+    /// worker pool.
     GateFailed {
         session: SessionId,
         seq: RequestSeq,
@@ -205,43 +204,22 @@ impl WorkItem {
     }
 }
 
-/// An envelope held back by the pending-release stage until its
-/// durability gate settles. For a reply, the session's state (buffered
-/// reply, next expected sequence number) was already committed by the
-/// worker; for an outgoing send, the worker is in `outgoing_call` with
-/// its run token handed back to the pool until `notify` fires. Either
-/// way no pool *capacity* waits here — only the envelope.
+/// A reply held back by the pending-release stage until its durability
+/// gate settles. The session's state (buffered reply, next expected
+/// sequence number) was committed before the reply was parked, so no
+/// worker waits here — only the reply.
 pub(crate) struct ParkedEnvelope {
     pub(crate) gate: Arc<crate::flush::DurabilityGate>,
-    /// Ordering key: the *local* session the envelope belongs to — the
-    /// inbound session for a reply, the parent session for an outgoing
-    /// send. Entries of one session leave in park order.
+    /// Ordering key: replies of one session leave in park order.
     pub(crate) session: SessionId,
-    pub(crate) kind: ParkedKind,
-}
-
-/// What a parked envelope releases into once its gate settles.
-pub(crate) enum ParkedKind {
-    /// A client-facing reply; a failed gate becomes [`WorkItem::GateFailed`]
-    /// (no worker is waiting for it).
-    Reply {
-        seq: RequestSeq,
-        reply_to: EndpointId,
-        status: ReplyStatus,
-    },
-    /// A cross-domain outgoing request; the issuing worker observes the
-    /// outcome over `notify`, so a failed gate flows back through
-    /// `outgoing_call`'s error path into the existing orphan recovery.
-    Send {
-        to: EndpointId,
-        env: Envelope,
-        notify: Sender<MspResult<()>>,
-    },
+    pub(crate) seq: RequestSeq,
+    pub(crate) reply_to: EndpointId,
+    pub(crate) status: ReplyStatus,
 }
 
 /// Commands consumed by the release thread.
 pub(crate) enum ReleaseCmd {
-    /// Park an envelope until its gate settles.
+    /// Park a reply until its gate settles.
     Park(ParkedEnvelope),
     /// A gate made progress — rescan the parked list now instead of
     /// waiting for the next tick.
@@ -291,20 +269,21 @@ pub struct RuntimeStats {
     /// their gate settled (vs sent inline: intra-domain, or every
     /// dependency already durable).
     pub async_reply_releases: AtomicU64,
-    /// Outgoing-send gates currently parked in the release stage (a
-    /// gauge, like `gates_pending` but for the send path).
+    /// Outgoing-send gates a worker is currently waiting out (a gauge,
+    /// like `gates_pending` but for the send path).
     pub send_gates_pending: AtomicU64,
-    /// Outgoing sends emitted by the release stage after their gate
-    /// settled (vs sent inline because every dependency was already
+    /// Outgoing sends that waited on a durability gate and left once it
+    /// settled (vs sent at once because every dependency was already
     /// durable).
     pub async_send_releases: AtomicU64,
     /// Total nanoseconds workers spent inside `outgoing_call` — the
     /// per-hop wait of a call chain (durability gate + RPC round trip).
     /// Divide by requests × m for the mean hop.
     pub chain_hop_wait_nanos: AtomicU64,
-    /// Times a worker handed its run token back to the pool while one of
-    /// its pipelined sends waited out a durability gate or its reply (a
-    /// sibling thread ran fresh requests on the freed capacity).
+    /// Times a worker handed its run token back to the pool for a
+    /// cross-domain hop — its send's durability gate and the reply wait
+    /// together (a sibling thread ran fresh requests on the freed
+    /// capacity).
     pub worker_parks: AtomicU64,
     /// Local log flushes skipped because the durable LSN already covered
     /// the dependency.
@@ -326,7 +305,8 @@ pub struct RuntimeStats {
     /// `Io`); they stay marked `needs_recovery`. Transient failures — the
     /// MSP dying mid-replay, a peer's crash orphaning the live
     /// continuation — are retried by the session's next request and not
-    /// counted. Non-zero means damaged media or a bug.
+    /// counted. Non-zero means damaged media or a bug; the first such
+    /// error is kept ([`MspHandle::first_replay_failure`]).
     pub recovery_pool_failures: AtomicU64,
     /// Framed log bytes the last crash recovery's analysis scan retained
     /// in per-session replay queues.
@@ -416,11 +396,11 @@ impl RuntimeStats {
 pub struct ShardStats {
     /// Requests executed by this shard's worker pool.
     pub requests: AtomicU64,
-    /// Envelopes (replies and sends) emitted by this shard's
-    /// pending-release stage after their gate settled.
+    /// Replies emitted by this shard's pending-release stage after their
+    /// gate settled.
     pub releases: AtomicU64,
-    /// Times a worker of this shard handed its run token back during a
-    /// pipelined wait.
+    /// Times a worker of this shard handed its run token back for a
+    /// cross-domain hop.
     pub worker_parks: AtomicU64,
 }
 
@@ -445,7 +425,7 @@ impl ShardStats {
 /// One runtime shard: an independent worker pool (queue + run tokens)
 /// and pending-release stage. Sessions are assigned to shards by a
 /// consistent hash of their id, so one session's requests, parked
-/// envelopes and recovery items all serialize through one shard while
+/// replies and recovery items all serialize through one shard while
 /// different sessions spread across all of them. State that is genuinely
 /// global — the sessions map, shared variables, recovery knowledge, the
 /// log itself — stays on [`MspInner`].
@@ -527,6 +507,8 @@ pub struct MspInner {
     /// retired (the live pool's counters are read directly); together
     /// they give the process-lifetime pool totals.
     pub(crate) retired_pool_stats: Mutex<msp_wal::PoolStatsSnapshot>,
+    /// The first replay failure of the recovery pool: session and error.
+    pub(crate) first_replay_failure: OnceLock<(SessionId, String)>,
 }
 
 impl MspInner {
@@ -630,13 +612,17 @@ impl MspInner {
         let _ = self.shards[shard].work_tx.send(item);
     }
 
-    /// Park an envelope in its session's release stage. `false` means the
-    /// stage is gone (stopping) and the envelope was not parked. The gate
-    /// learns the stage first, so its settlement nudges that stage only.
-    pub(crate) fn park_envelope(&self, parked: ParkedEnvelope) -> bool {
+    /// Park a reply in its session's release stage. The gate learns the
+    /// stage first, so its settlement nudges that stage only. If the stage
+    /// is gone (stopping) the reply is dropped; the client's resend
+    /// retries through the dedup path.
+    pub(crate) fn park_envelope(&self, parked: ParkedEnvelope) {
         let tx = &self.shards[self.shard_of(parked.session)].release_tx;
         parked.gate.set_release(tx.clone());
-        tx.send(ReleaseCmd::Park(parked)).is_ok()
+        self.stats.gates_pending.fetch_add(1, Ordering::Relaxed);
+        if tx.send(ReleaseCmd::Park(parked)).is_err() {
+            self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Look up or create the session cell for an incoming session id.
@@ -677,28 +663,18 @@ impl MspInner {
             // before it can resurrect the session and re-execute.
             if req.method == END_SESSION_METHOD {
                 // The first end's acknowledgement is gated on durability,
-                // and the resend may overtake that still-parked gate — so
-                // this re-ack must not leak an earlier acknowledgement.
-                // The ended cell (and its DV) are gone, but the log is
-                // prefix-flushed: flushing to the current end covers the
-                // session's records exactly as the first ack's gate did.
-                if self.is_log_based() {
-                    let log = self.log();
-                    if log.flush_to(log.end_lsn()).is_err() {
-                        return; // no ack — the client's resend retries
-                    }
+                // and the resend may overtake that still-parked reply — so
+                // the re-ack must wait for the `SessionEnd` too. The ended
+                // cell (and its DV) are gone, but the log is durable as a
+                // prefix and the `SessionEnd` was appended before the
+                // tombstone: a gate on the last appended record covers it.
+                let mut dv = DependencyVector::new();
+                if let Some(log) = &self.log {
+                    let last = Lsn(log.end_lsn().0.saturating_sub(1));
+                    dv.set(self.cfg.id, StateId::new(self.epoch(), last));
                 }
-                self.send(
-                    req.reply_to,
-                    Envelope::Reply(ReplyMsg {
-                        session: req.session,
-                        seq: req.seq,
-                        status: ReplyStatus::Ok(Vec::new()),
-                        sender_dv: None,
-                        durable_hint: None,
-                        recoveries: self.own_recovery_gossip(),
-                    }),
-                );
+                let status = ReplyStatus::Ok(Vec::new());
+                let _ = self.send_reply(&dv, req.reply_to, req.session, req.seq, status);
             }
             return;
         };
@@ -753,7 +729,7 @@ impl MspInner {
             // reply (it may have been lost on the network).
             if let Some((seq, status)) = st.buffered_reply.clone() {
                 debug_assert_eq!(seq, req.seq);
-                let _ = self.send_reply(st, req.reply_to, req.session, seq, status);
+                let _ = self.send_reply(&st.dv, req.reply_to, req.session, seq, status);
             }
         }
         // Older duplicates and (impossible under the client protocol)
@@ -798,9 +774,7 @@ impl MspInner {
         }
         let Some(svc) = self.services.get(&req.method).cloned() else {
             let status = ReplyStatus::Err(format!("no such method: {}", req.method));
-            let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status.clone());
-            st.buffered_reply = Some((req.seq, status));
-            st.next_expected = req.seq.next();
+            let _ = self.dispatch_reply(st, &req, status);
             return;
         };
 
@@ -839,12 +813,9 @@ impl MspInner {
                     Ok(p) => ReplyStatus::Ok(p),
                     Err(e) => ReplyStatus::Err(e),
                 };
-                match self.dispatch_reply(st, &req, status) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        self.after_infra_failure(cell, st, &req, e);
-                        return;
-                    }
+                if let Err(e) = self.dispatch_reply(st, &req, status) {
+                    self.after_infra_failure(cell, st, &req, e);
+                    return;
                 }
             }
             Err(e) => {
@@ -881,7 +852,7 @@ impl MspInner {
             {
                 if let Some((seq, status)) = st.buffered_reply.clone() {
                     if seq == req.seq {
-                        let _ = self.send_reply(st, req.reply_to, req.session, seq, status);
+                        let _ = self.send_reply(&st.dv, req.reply_to, req.session, seq, status);
                     }
                 }
             }
@@ -896,9 +867,6 @@ impl MspInner {
         };
         let (lsn, framed) = log.append_sized(&record);
         st.note_logged(self.cfg.id, self.epoch(), lsn, framed);
-        let status = ReplyStatus::Ok(Vec::new());
-        st.buffered_reply = Some((req.seq, status.clone()));
-        st.next_expected = req.seq.next();
         st.ended = true;
         st.positions.truncate();
         // Tombstone + drop before the reply can reach the client: once
@@ -907,7 +875,7 @@ impl MspInner {
         // work queue from resurrecting it. A failed reply is harmless —
         // the client's resend is re-acknowledged off the tombstone.
         self.tombstone_session(req.session);
-        let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status);
+        let _ = self.dispatch_reply(st, req, ReplyStatus::Ok(Vec::new()));
     }
 
     /// Baseline request path (NoLog / Psession / StateServer): no logging,
@@ -946,10 +914,7 @@ impl MspInner {
         // acknowledgement is re-acknowledged off the tombstone in
         // `handle_request` before ever reaching a cell.
         if req.method == END_SESSION_METHOD {
-            let status = ReplyStatus::Ok(Vec::new());
-            let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status.clone());
-            st.buffered_reply = Some((req.seq, status));
-            st.next_expected = req.seq.next();
+            let _ = self.dispatch_reply(st, &req, ReplyStatus::Ok(Vec::new()));
             st.ended = true;
             if let Some(db) = &db {
                 let _ = db.write_txn(vec![(key, None)]);
@@ -962,9 +927,7 @@ impl MspInner {
         }
         let Some(svc) = self.services.get(&req.method).cloned() else {
             let status = ReplyStatus::Err(format!("no such method: {}", req.method));
-            let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status.clone());
-            st.buffered_reply = Some((req.seq, status));
-            st.next_expected = req.seq.next();
+            let _ = self.dispatch_reply(st, &req, status);
             return;
         };
 
@@ -986,7 +949,7 @@ impl MspInner {
         if let Some(server) = state_server {
             let _ = self.state_rpc(server, key, Some(encode_session_blob(st)));
         }
-        let _ = self.send_reply(st, req.reply_to, req.session, req.seq, status);
+        let _ = self.send_reply(&st.dv, req.reply_to, req.session, req.seq, status);
     }
 
     /// Blocking RPC to the state server: `value = None` fetches, `Some`
@@ -1036,32 +999,41 @@ impl MspInner {
     // Reply path and outgoing calls
     // ------------------------------------------------------------------
 
-    /// Send a reply, applying the locally-optimistic rules: attach the
-    /// session DV when the destination is an MSP of our own domain;
-    /// otherwise perform the pessimistic distributed log flush first
-    /// (Figure 7, "before send").
+    /// Send the reply to request `seq` of `session` — the one reply path,
+    /// and it never blocks. Inside the service domain the reply carries
+    /// the session's DV (locally optimistic, §3.1) and leaves at once.
+    /// Across a pessimistic boundary the distributed flush of `dv` is only
+    /// *issued* (Figure 7, "before send"): a reply whose dependencies are
+    /// all durable already leaves at once; any other is parked on its gate
+    /// in the pending-release stage and leaves, in per-session order, once
+    /// the gate settles. `Err` means a dependency is already known lost
+    /// (the session is an orphan) and nothing was sent.
     pub(crate) fn send_reply(
         &self,
-        st: &mut SessionState,
+        dv: &DependencyVector,
         reply_to: EndpointId,
         session: SessionId,
         seq: RequestSeq,
         status: ReplyStatus,
     ) -> MspResult<()> {
-        let (sender_dv, durable_hint, recoveries) = if self.is_log_based() {
-            let intra = reply_to
-                .as_msp()
-                .is_some_and(|m| self.cluster.same_domain(self.cfg.id, m));
-            if intra {
-                (
-                    Some(st.dv.clone()),
-                    self.own_durable_hint(),
-                    self.own_recovery_gossip(),
-                )
-            } else {
-                self.distributed_flush(&st.dv)?;
-                (None, None, Vec::new())
-            }
+        let intra = reply_to
+            .as_msp()
+            .is_some_and(|m| self.cluster.same_domain(self.cfg.id, m));
+        let (sender_dv, durable_hint, recoveries) = if intra && self.is_log_based() {
+            (
+                Some(dv.clone()),
+                self.own_durable_hint(),
+                self.own_recovery_gossip(),
+            )
+        } else if let Some(gate) = self.distributed_flush_issue(dv)? {
+            self.park_envelope(ParkedEnvelope {
+                gate,
+                session,
+                seq,
+                reply_to,
+                status,
+            });
+            return Ok(());
         } else {
             (None, None, Vec::new())
         };
@@ -1079,71 +1051,20 @@ impl MspInner {
         Ok(())
     }
 
-    /// Deliver the reply of a just-executed request.
-    ///
-    /// Intra-domain replies never flush and always go out inline. For a
-    /// reply crossing a pessimistic boundary the distributed flush is
-    /// only *issued* and the envelope is parked on its gate in the
-    /// pending-release stage — the worker is free as soon as this
-    /// returns. In both cases the session's sequencing state is committed
-    /// before the reply can reach the client, so a duplicate resend finds
-    /// the buffered reply (and the blocking dedup path is the safety net
-    /// if the parked envelope is lost with a crash).
+    /// Commit `status` as the reply to `req` — buffered for a duplicate
+    /// resend, the session's sequence advanced — and only then send it
+    /// with [`Self::send_reply`]: a parked reply leaves after the worker
+    /// has let go of the session, and a resend arriving meanwhile must
+    /// find the buffered reply.
     pub(crate) fn dispatch_reply(
         &self,
         st: &mut SessionState,
         req: &RequestMsg,
         status: ReplyStatus,
     ) -> MspResult<()> {
-        let intra = req
-            .reply_to
-            .as_msp()
-            .is_some_and(|m| self.cluster.same_domain(self.cfg.id, m));
-        if intra || !self.is_log_based() {
-            self.send_reply(st, req.reply_to, req.session, req.seq, status.clone())?;
-            st.buffered_reply = Some((req.seq, status));
-            st.next_expected = req.seq.next();
-            return Ok(());
-        }
-        // Pessimistic boundary: issue the flush, commit the session's
-        // sequencing state, park the envelope.
-        let gate = self.distributed_flush_issue(&st.dv)?;
         st.buffered_reply = Some((req.seq, status.clone()));
         st.next_expected = req.seq.next();
-        match gate {
-            None => {
-                // Every dependency already durable: nothing to wait for.
-                self.send(
-                    req.reply_to,
-                    Envelope::Reply(ReplyMsg {
-                        session: req.session,
-                        seq: req.seq,
-                        status,
-                        sender_dv: None,
-                        durable_hint: None,
-                        recoveries: Vec::new(),
-                    }),
-                );
-            }
-            Some(gate) => {
-                self.stats.gates_pending.fetch_add(1, Ordering::Relaxed);
-                let parked = ParkedEnvelope {
-                    gate,
-                    session: req.session,
-                    kind: ParkedKind::Reply {
-                        seq: req.seq,
-                        reply_to: req.reply_to,
-                        status,
-                    },
-                };
-                if !self.park_envelope(parked) {
-                    // Release stage gone (stopping): the reply is dropped,
-                    // the client's resend retries through the dedup path.
-                    self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(())
+        self.send_reply(&st.dv, req.reply_to, req.session, req.seq, status)
     }
 
     /// A live outgoing call from `session` to `target` (§2.1, Figure 3).
@@ -1168,10 +1089,10 @@ impl MspInner {
 
     /// Resend-until-reply over the session's outgoing session, with
     /// optimistic DV attachment inside the domain and a pessimistic flush
-    /// before sending across domains. The pessimistic flush never blocks
-    /// the worker: the envelope is parked behind its durability gate in
-    /// the release stage and the worker hands its run token back to the
-    /// pool until the gate settles, which keeps deep call chains off the
+    /// before sending across domains. A cross-domain hop never costs the
+    /// pool capacity: its worker hands the run token back once, waits out
+    /// the send's durability gate and then the reply, and takes a token
+    /// again when the reply is in, which keeps deep call chains off the
     /// flush critical path.
     fn outgoing_call_inner(
         &self,
@@ -1215,240 +1136,165 @@ impl MspInner {
             }
         };
         // Pessimistic boundary: nothing we depend on may be lost once
-        // this message leaves the domain, so the *first* send goes
-        // through the release stage (gate-parked); timeout resends go out
-        // directly — the gate settled before the wait began, so the DV is
-        // already durable.
+        // this message leaves the domain, so the *first* send waits out
+        // its durability gate; timeout resends go out directly — the gate
+        // settled before the first send, so the DV is already durable.
         let pipelined = self.is_log_based() && !intra;
+        let parked = pipelined && self.park_run_token();
+        let mut gated = pipelined;
         let mut attempts = 0u32;
-        let mut park_first = pipelined;
-        loop {
+        let got = loop {
             if self.stopped() {
-                return Err(MspError::Shutdown);
+                break Err(MspError::Shutdown);
             }
             let (tx, rx) = crossbeam_channel::bounded(1);
-            // Register the waiter before the envelope can leave: a
-            // released send may be answered before this worker gets back
-            // from its gate wait.
+            // Register the waiter before the envelope can leave: the send
+            // may be answered before this worker returns from its gate.
             self.pending_replies.lock().insert((out_id, seq), tx);
-            if park_first {
-                park_first = false;
-                let env = Envelope::Request(RequestMsg {
-                    session: out_id,
-                    seq,
-                    method: method.to_string(),
-                    payload: payload.to_vec(),
-                    reply_to: self.me(),
-                    // Cross-domain: never optimistic attachments.
-                    sender_dv: None,
-                    durable_hint: None,
-                    recoveries: Vec::new(),
+            let env = Envelope::Request(RequestMsg {
+                session: out_id,
+                seq,
+                method: method.to_string(),
+                payload: payload.to_vec(),
+                reply_to: self.me(),
+                // Cross-domain: never optimistic attachments.
+                sender_dv: intra.then(|| st.dv.clone()),
+                durable_hint: if intra { self.own_durable_hint() } else { None },
+                recoveries: if intra {
+                    self.own_recovery_gossip()
+                } else {
+                    Vec::new()
+                },
+            });
+            if gated {
+                gated = false;
+                if let Err(e) = self.gated_send(&st.dv, target, env) {
+                    self.pending_replies.lock().remove(&(out_id, seq));
+                    break Err(e);
+                }
+            } else {
+                self.send(EndpointId::Msp(target), env);
+            }
+            let Ok(rep) = self.recv_reply(&rx) else {
+                self.pending_replies.lock().remove(&(out_id, seq));
+                // Interception point on the resend path too: if the
+                // target crashed and lost our dependency, it now treats
+                // our sequence number as from the future and drops the
+                // resends silently — no reply will ever run the
+                // post-receive orphan check, so check here or spin until
+                // the retry limit with the session lock held.
+                if self.knowledge.read().is_orphan(&st.dv, self.cfg.id) {
+                    break Err(MspError::Orphan {
+                        session: session_id,
+                    });
+                }
+                attempts += 1;
+                if attempts > RPC_RETRY_LIMIT {
+                    break Err(MspError::Timeout);
+                }
+                continue;
+            };
+            if rep.status == ReplyStatus::Busy {
+                std::thread::sleep(self.cfg.scaled_busy_backoff());
+                continue;
+            }
+            // Interception point (§4.1): receiving a reply checks both the
+            // message and the session. The session check must happen
+            // BEFORE the merge — merging a newer-epoch entry would
+            // otherwise mask an orphaned dependency forever (found by the
+            // DV property tests).
+            let knowledge = self.knowledge.read();
+            if knowledge.is_orphan(&st.dv, self.cfg.id) {
+                break Err(MspError::Orphan {
+                    session: session_id,
                 });
-                if let Err(e) = self.pipelined_send(&st.dv, session_id, target, env) {
-                    self.pending_replies.lock().remove(&(out_id, seq));
-                    return Err(e);
-                }
-            } else {
-                self.send(
-                    EndpointId::Msp(target),
-                    Envelope::Request(RequestMsg {
-                        session: out_id,
-                        seq,
-                        method: method.to_string(),
-                        payload: payload.to_vec(),
-                        reply_to: self.me(),
-                        sender_dv: intra.then(|| st.dv.clone()),
-                        durable_hint: if intra { self.own_durable_hint() } else { None },
-                        recoveries: if intra {
-                            self.own_recovery_gossip()
-                        } else {
-                            Vec::new()
-                        },
-                    }),
-                );
             }
-            let got = if pipelined {
-                self.recv_reply_parking(&rx)
-            } else {
-                rx.recv_timeout(self.cfg.rpc_timeout).map_err(|_| ())
-            };
-            let rep = match got {
-                Ok(rep) => rep,
-                Err(()) => {
-                    self.pending_replies.lock().remove(&(out_id, seq));
-                    // Interception point on the resend path too: if the
-                    // target crashed and lost our dependency, it now
-                    // treats our sequence number as from the future and
-                    // drops the resends silently — no reply will ever run
-                    // the post-receive orphan check, so check here or spin
-                    // until the retry limit with the session lock held.
-                    if self.knowledge.read().is_orphan(&st.dv, self.cfg.id) {
-                        return Err(MspError::Orphan {
-                            session: session_id,
-                        });
-                    }
-                    attempts += 1;
-                    if attempts > RPC_RETRY_LIMIT {
-                        return Err(MspError::Timeout);
-                    }
-                    continue;
-                }
-            };
-            match rep.status {
-                ReplyStatus::Busy => {
-                    std::thread::sleep(self.cfg.scaled_busy_backoff());
-                    continue;
-                }
-                status => {
-                    // Interception point (§4.1): receiving a reply checks
-                    // both the message and the session. The session check
-                    // must happen BEFORE the merge — merging a newer-epoch
-                    // entry would otherwise mask an orphaned dependency
-                    // forever (found by the DV property tests).
-                    {
-                        let knowledge = self.knowledge.read();
-                        if knowledge.is_orphan(&st.dv, self.cfg.id) {
-                            return Err(MspError::Orphan {
-                                session: session_id,
-                            });
-                        }
-                        // Figure 7, "after receive": orphan replies are
-                        // discarded; the resend will fetch a clean one.
-                        if let Some(dv) = &rep.sender_dv {
-                            if knowledge.is_orphan(dv, self.cfg.id) {
-                                self.stats
-                                    .orphan_msgs_dropped
-                                    .fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    }
-                    if self.is_log_based() {
-                        let log = self.log();
-                        let record = LogRecord::ReplyReceive {
-                            session: session_id,
-                            outgoing: out_id,
-                            seq,
-                            payload: crate::session::encode_reply(&status),
-                            sender_dv: rep.sender_dv.clone(),
-                        };
-                        let (lsn, framed) = log.append_sized(&record);
-                        if let Some(dv) = &rep.sender_dv {
-                            st.dv.merge_from(dv);
-                        }
-                        st.note_logged(self.cfg.id, self.epoch(), lsn, framed);
-                    }
-                    st.outgoing
-                        .get_mut(&target)
-                        .expect("inserted above")
-                        .next_seq = seq.next();
-                    return match status {
-                        ReplyStatus::Ok(p) => Ok(p),
-                        ReplyStatus::Err(e) => Err(MspError::Application(e)),
-                        ReplyStatus::Busy => unreachable!("handled above"),
-                    };
-                }
+            // Figure 7, "after receive": orphan replies are discarded; the
+            // resend will fetch a clean one.
+            if rep
+                .sender_dv
+                .as_ref()
+                .is_some_and(|dv| knowledge.is_orphan(dv, self.cfg.id))
+            {
+                self.stats
+                    .orphan_msgs_dropped
+                    .fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            break Ok(rep);
+        };
+        if parked && !self.unpark_run_token() {
+            return Err(MspError::Shutdown);
+        }
+        let rep = got?;
+        if self.is_log_based() {
+            let record = LogRecord::ReplyReceive {
+                session: session_id,
+                outgoing: out_id,
+                seq,
+                payload: crate::session::encode_reply(&rep.status),
+                sender_dv: rep.sender_dv.clone(),
+            };
+            let (lsn, framed) = self.log().append_sized(&record);
+            if let Some(dv) = &rep.sender_dv {
+                st.dv.merge_from(dv);
+            }
+            st.note_logged(self.cfg.id, self.epoch(), lsn, framed);
+        }
+        st.outgoing
+            .get_mut(&target)
+            .expect("inserted above")
+            .next_seq = seq.next();
+        match rep.status {
+            ReplyStatus::Ok(p) => Ok(p),
+            ReplyStatus::Err(e) => Err(MspError::Application(e)),
+            ReplyStatus::Busy => unreachable!("handled above"),
         }
     }
 
-    /// Pipelined cross-domain send: issue the durability gate, park the
-    /// envelope in the release stage, and wait the gate out with the run
-    /// token handed back to the pool — the pool never loses capacity to
-    /// durability. Returns once the release stage has emitted the
-    /// envelope (or after an inline send, when every dependency was
-    /// already durable); from then on the session's DV is durable, so
-    /// timeout resends may skip the gate. A failed gate surfaces here as
-    /// the error a blocking `distributed_flush` would have returned,
-    /// feeding the same orphan recovery.
-    fn pipelined_send(
-        &self,
-        dv: &DependencyVector,
-        session_id: SessionId,
-        target: MspId,
-        env: Envelope,
-    ) -> MspResult<()> {
-        let to = EndpointId::Msp(target);
-        let Some(gate) = self.distributed_flush_issue(dv)? else {
-            // Every dependency already durable: no gate, no window.
-            if self.log().fault_point(CrashPoint::SendGateIssue) {
-                return Err(MspError::Shutdown);
-            }
-            self.send(to, env);
-            return Ok(());
-        };
-        let (ntx, nrx) = crossbeam_channel::bounded(1);
-        self.stats
-            .send_gates_pending
-            .fetch_add(1, Ordering::Relaxed);
-        let parked = ParkedEnvelope {
-            gate,
-            session: session_id,
-            kind: ParkedKind::Send {
-                to,
-                env,
-                notify: ntx,
-            },
-        };
-        if !self.park_envelope(parked) {
-            // Release stage gone — only happens while stopping.
-            self.stats
-                .send_gates_pending
-                .fetch_sub(1, Ordering::Relaxed);
-            return Err(MspError::Shutdown);
-        }
-        // The crash window the torture rig aims at: the send is logged
-        // and parked but not yet released.
+    /// First send of a cross-domain hop: issue the distributed flush of
+    /// `dv`, wait it out with [`Self::settle_gate`] (which drives the
+    /// remote legs' retries and fails on stop), then send. From then on
+    /// the session's DV is durable, so timeout resends may skip the gate.
+    /// A failed gate surfaces as the error the caller's orphan recovery
+    /// expects; nothing was sent.
+    fn gated_send(&self, dv: &DependencyVector, target: MspId, env: Envelope) -> MspResult<()> {
+        let gate = self.distributed_flush_issue(dv)?;
+        // The crash window the torture rig aims at: the send is logged and
+        // its gate issued, but nothing has been sent.
         if self.log().fault_point(CrashPoint::SendGateIssue) {
             return Err(MspError::Shutdown);
         }
-        // The worker is now pure wait: hand the run token to a sibling
-        // thread (which runs fresh requests start-to-finish on the freed
-        // capacity) and block on the notify channel. The release stage
-        // always settles it — release, gate failure, and shutdown drain
-        // all notify, so this cannot hang.
-        let parked = self.park_run_token();
-        let outcome = loop {
-            match nrx.recv_timeout(PARK_POLL) {
-                Ok(outcome) => break outcome,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                    if self.stopped() {
-                        break Err(MspError::Shutdown);
-                    }
-                }
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                    break Err(MspError::Shutdown)
-                }
-            }
-        };
-        if parked && !self.unpark_run_token() {
-            return Err(MspError::Shutdown);
+        if let Some(gate) = gate {
+            let pending = &self.stats.send_gates_pending;
+            pending.fetch_add(1, Ordering::Relaxed);
+            let settled = self.settle_gate(&gate);
+            pending.fetch_sub(1, Ordering::Relaxed);
+            settled?;
+            self.stats
+                .async_send_releases
+                .fetch_add(1, Ordering::Relaxed);
         }
-        outcome
+        self.send(EndpointId::Msp(target), env);
+        Ok(())
     }
 
-    /// Phase-2 wait of a pipelined outgoing call: wait on the reply
-    /// channel under the per-attempt `rpc_timeout` deadline with the run
-    /// token handed back to the pool. `Err(())` means timed out (or
-    /// stopping) — the caller runs the ordinary resend path.
-    fn recv_reply_parking(&self, rx: &Receiver<ReplyMsg>) -> Result<ReplyMsg, ()> {
+    /// Wait on an outgoing call's reply channel until the per-attempt
+    /// `rpc_timeout` deadline. `Err(())` means timed out (or stopping) —
+    /// the caller runs the ordinary resend path.
+    fn recv_reply(&self, rx: &Receiver<ReplyMsg>) -> Result<ReplyMsg, ()> {
         let deadline = std::time::Instant::now() + self.cfg.rpc_timeout;
-        let parked = self.park_run_token();
-        let got = loop {
+        loop {
             let now = std::time::Instant::now();
             if self.stopped() || now >= deadline {
-                break Err(());
+                return Err(());
             }
             match rx.recv_timeout((deadline - now).min(PARK_POLL)) {
-                Ok(rep) => break Ok(rep),
+                Ok(rep) => return Ok(rep),
                 Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break Err(()),
+                Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return Err(()),
             }
-        };
-        if parked && !self.unpark_run_token() {
-            return Err(());
         }
-        got
     }
 
     /// Hand this worker's run token back to the pool for the duration of
@@ -1595,10 +1441,11 @@ impl MspInner {
     }
 
     /// A parked reply's gate failed. Mirror [`MspInner::after_infra_failure`]:
-    /// an orphan-class failure recovers the session and resends the
-    /// buffered reply (replay reconstructs it); transient failures produce
-    /// no reply — the client's resend drives the retry via the dedup path,
-    /// whose `send_reply` blocks until durability or orphan verdict.
+    /// an orphan-class failure recovers the session and sends the
+    /// buffered reply again (replay reconstructs it), parked on a fresh
+    /// gate like any other reply; transient failures produce no reply —
+    /// the client's resend finds the buffered reply through the dedup
+    /// path, which parks it on a fresh gate in turn.
     fn handle_gate_failure(
         self: &Arc<Self>,
         session: SessionId,
@@ -1619,7 +1466,7 @@ impl MspInner {
             {
                 if let Some((bseq, status)) = st.buffered_reply.clone() {
                     if bseq == seq {
-                        let _ = self.send_reply(&mut st, reply_to, session, bseq, status);
+                        let _ = self.send_reply(&st.dv, reply_to, session, bseq, status);
                     }
                 }
                 cell.sync_anchor(&st);
@@ -1669,8 +1516,13 @@ impl MspInner {
                         let counter = match me.recover_session_locked(&cell, &mut st) {
                             Ok(()) => &me.stats.recovery_pool_sessions,
                             Err(
-                                MspError::LogCorrupt { .. } | MspError::Codec(_) | MspError::Io(_),
-                            ) => &me.stats.recovery_pool_failures,
+                                e @ (MspError::LogCorrupt { .. }
+                                | MspError::Codec(_)
+                                | MspError::Io(_)),
+                            ) => {
+                                let _ = me.first_replay_failure.set((sid, e.to_string()));
+                                &me.stats.recovery_pool_failures
+                            }
                             // Transient: the session's next request retries.
                             Err(_) => continue,
                         };
@@ -1692,17 +1544,13 @@ impl MspInner {
         self.recovery_done.store(true, Ordering::Release);
     }
 
-    /// The pending-release stage (asynchronous durability pipeline),
-    /// unified over every envelope kind. Parked envelopes — client
-    /// replies and outgoing sends alike — leave in arrival order per
-    /// session, and only once their gate settles successfully. Failed
-    /// reply gates are converted into [`WorkItem::GateFailed`] so the
-    /// orphan path runs on the worker pool (where it can take session
-    /// locks without stalling releases); failed send gates report over
-    /// the parked send's notify channel to the worker already waiting in
-    /// `outgoing_call`, whose error path runs the same recovery. On
-    /// shutdown every still-parked envelope is discarded — an unsettled
-    /// envelope must never leave the process.
+    /// The pending-release stage (asynchronous durability pipeline).
+    /// Parked replies leave in arrival order per session, and only once
+    /// their gate settles successfully. A failed gate becomes a
+    /// [`WorkItem::GateFailed`] so the orphan path runs on the worker
+    /// pool (where it can take session locks without stalling releases).
+    /// On shutdown every still-parked reply is discarded — an unsettled
+    /// reply must never leave the process.
     fn release_loop(self: Arc<Self>, shard: usize, release_rx: Receiver<ReleaseCmd>) {
         let mut parked: Vec<ParkedEnvelope> = Vec::new();
         while !self.stopped() {
@@ -1730,92 +1578,46 @@ impl MspInner {
                     i += 1;
                     continue;
                 }
-                match parked[i].gate.poll() {
-                    None => i += 1,
-                    Some(Ok(())) => {
-                        let p = parked.remove(i);
-                        match p.kind {
-                            ParkedKind::Reply {
-                                seq,
-                                reply_to,
-                                status,
-                            } => {
-                                self.send(
-                                    reply_to,
-                                    Envelope::Reply(ReplyMsg {
-                                        session: p.session,
-                                        seq,
-                                        status,
-                                        sender_dv: None,
-                                        durable_hint: None,
-                                        recoveries: Vec::new(),
-                                    }),
-                                );
-                                self.stats
-                                    .async_reply_releases
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
-                                self.shards[shard]
-                                    .stats
-                                    .releases
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            ParkedKind::Send { to, env, notify } => {
-                                self.send(to, env);
-                                self.stats
-                                    .async_send_releases
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.shards[shard]
-                                    .stats
-                                    .releases
-                                    .fetch_add(1, Ordering::Relaxed);
-                                self.stats
-                                    .send_gates_pending
-                                    .fetch_sub(1, Ordering::Relaxed);
-                                let _ = notify.send(Ok(()));
-                            }
-                        }
+                let Some(outcome) = parked[i].gate.poll() else {
+                    i += 1;
+                    continue;
+                };
+                let p = parked.remove(i);
+                self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
+                match outcome {
+                    Ok(()) => {
+                        self.send(
+                            p.reply_to,
+                            Envelope::Reply(ReplyMsg {
+                                session: p.session,
+                                seq: p.seq,
+                                status: p.status,
+                                sender_dv: None,
+                                durable_hint: None,
+                                recoveries: Vec::new(),
+                            }),
+                        );
+                        self.stats
+                            .async_reply_releases
+                            .fetch_add(1, Ordering::Relaxed);
+                        self.shards[shard]
+                            .stats
+                            .releases
+                            .fetch_add(1, Ordering::Relaxed);
                     }
-                    Some(Err(err)) => {
-                        let p = parked.remove(i);
-                        match p.kind {
-                            ParkedKind::Reply {
-                                seq,
-                                reply_to,
-                                status: _,
-                            } => {
-                                self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
-                                self.send_work(WorkItem::GateFailed {
-                                    session: p.session,
-                                    seq,
-                                    reply_to,
-                                    err,
-                                });
-                            }
-                            ParkedKind::Send { notify, .. } => {
-                                self.stats
-                                    .send_gates_pending
-                                    .fetch_sub(1, Ordering::Relaxed);
-                                let _ = notify.send(Err(err));
-                            }
-                        }
-                    }
+                    Err(err) => self.send_work(WorkItem::GateFailed {
+                        session: p.session,
+                        seq: p.seq,
+                        reply_to: p.reply_to,
+                        err,
+                    }),
                 }
             }
         }
-        for p in parked.drain(..) {
-            match p.kind {
-                ParkedKind::Reply { .. } => {
-                    self.stats.gates_pending.fetch_sub(1, Ordering::Relaxed);
-                }
-                ParkedKind::Send { notify, .. } => {
-                    self.stats
-                        .send_gates_pending
-                        .fetch_sub(1, Ordering::Relaxed);
-                    let _ = notify.send(Err(MspError::Shutdown));
-                }
-            }
-        }
+        let dropped = parked.len() as u64;
+        self.stats
+            .gates_pending
+            .fetch_sub(dropped, Ordering::Relaxed);
     }
 }
 
@@ -2064,6 +1866,7 @@ impl MspBuilder {
             recovery_done: AtomicBool::new(true),
             forced_ckpt_credit: Mutex::new(0),
             retired_pool_stats: Mutex::new(msp_wal::PoolStatsSnapshot::default()),
+            first_replay_failure: OnceLock::new(),
         });
 
         // Crash recovery before going live (no-op on a fresh disk).
@@ -2237,30 +2040,44 @@ impl MspHandle {
     /// un-flushed log tail is lost, the endpoint goes dark. The disk
     /// survives; a new `MspBuilder::start` over it runs crash recovery.
     pub fn crash(&self) {
-        self.inner.stopped.store(true, Ordering::SeqCst);
-        self.inner.net.unregister(self.inner.me());
-        if let Some(log) = &self.inner.log {
-            log.crash();
+        self.stop(true);
+    }
+
+    /// Clean shutdown: stop the threads, then flush and close the log.
+    pub fn shutdown(&self) {
+        self.stop(false);
+    }
+
+    /// The one stop sequence: refuse intake; on a crash, freeze the log
+    /// first so nothing more becomes durable (local tickets fail with
+    /// it); fail the gates whose remote legs will never be answered; join
+    /// every thread; on a shutdown, only now flush and close the log, so
+    /// no thread appends to a closed log.
+    fn stop(&self, crash: bool) {
+        let inner = &self.inner;
+        inner.stopped.store(true, Ordering::SeqCst);
+        inner.net.unregister(inner.me());
+        if crash {
+            if let Some(log) = &inner.log {
+                log.crash();
+            }
         }
-        // Unblock settlers: local tickets were failed by the log teardown;
-        // remote legs will never be answered.
-        self.inner.fail_pending_gates();
+        inner.fail_pending_gates();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
+        }
+        if !crash {
+            if let Some(log) = &inner.log {
+                log.close();
+            }
         }
     }
 
-    /// Clean shutdown: flush the log, stop the threads.
-    pub fn shutdown(&self) {
-        self.inner.stopped.store(true, Ordering::SeqCst);
-        self.inner.net.unregister(self.inner.me());
-        if let Some(log) = &self.inner.log {
-            log.close();
-        }
-        self.inner.fail_pending_gates();
-        for t in self.threads.lock().drain(..) {
-            let _ = t.join();
-        }
+    /// The first session the crash-recovery pool could not replay from
+    /// the log (`LogCorrupt`, `Codec` or `Io`; counted in
+    /// `recovery_pool_failures`), with the error's text.
+    pub fn first_replay_failure(&self) -> Option<(SessionId, String)> {
+        self.inner.first_replay_failure.get().cloned()
     }
 
     /// `true` once crash-recovery session replay has finished (trivially
@@ -2409,20 +2226,6 @@ mod tests {
             }
         }
         released
-    }
-
-    /// The cross-path ordering hole the PR-6 audit looked for: a reply
-    /// whose gate settles early must not overtake a causally-earlier
-    /// parked send of the same session.
-    #[test]
-    fn reply_never_overtakes_an_earlier_send_of_its_session() {
-        // Entry 0 = the send, entry 1 = the reply; the reply's gate
-        // settles first.
-        let released = simulate_release(&[7, 7], &[1, 0]);
-        assert_eq!(released, vec![0, 1], "per-session FIFO holds");
-        // An unrelated session is never blocked by either.
-        let released = simulate_release(&[7, 7, 9], &[2, 1, 0]);
-        assert_eq!(released, vec![2, 0, 1]);
     }
 
     proptest::proptest! {

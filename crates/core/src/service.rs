@@ -442,11 +442,10 @@ impl<'a> ServiceContext<'a> {
 
     /// Call a service method at another MSP over this session's outgoing
     /// session to that MSP (synchronous RPC). A live cross-domain call
-    /// performs the pessimistic pre-send flush, which is only *issued* —
-    /// the envelope parks in the release stage and the worker hands its
-    /// run token back to the pool until the gate settles, so chained
-    /// calls (m ≥ 2) pipeline across the pool instead of serializing on
-    /// flush waits.
+    /// performs the pessimistic pre-send flush; the worker hands its run
+    /// token back to the pool while it waits out the gate and the reply,
+    /// so chained calls (m ≥ 2) pipeline across the pool instead of
+    /// serializing on flush waits.
     pub fn call(&mut self, target: MspId, method: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
         // Replay path: the reply comes from the ReplyReceive record;
         // requests are not re-sent (§4.1). A first call to a target is

@@ -23,9 +23,9 @@ use crate::replay::ReplayQueue;
 /// An outgoing session this session has started at another MSP (§2.1,
 /// Figure 3: `SEc` is the client of `SEs`). `next_seq` only advances
 /// when the reply has been received and logged, so at most one request
-/// per outgoing session is ever in flight — which is what lets the
-/// release stage park a pipelined send behind its durability gate
-/// without any per-target reordering risk.
+/// per outgoing session is ever in flight — which is what lets a
+/// cross-domain send wait out its durability gate without any
+/// per-target reordering risk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutgoingSession {
     pub id: SessionId,

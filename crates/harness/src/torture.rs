@@ -487,6 +487,19 @@ const RECOVERY_FIRE_WAIT: Duration = Duration::from_secs(5);
 /// Recovery-drain bound after the storm.
 const DRAIN_WAIT: Duration = Duration::from_secs(30);
 
+/// Each MSP's first replay failure (session and error), for the "could
+/// not be replayed" verdicts.
+fn first_replay_failures(world: &World) -> String {
+    [("MSP1", &world.msp1), ("MSP2", &world.msp2)]
+        .into_iter()
+        .filter_map(|(who, slot)| {
+            let (session, err) = slot.first_replay_failure()?;
+            Some(format!("{who} session {}: {err}", session.0))
+        })
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
 fn le_counter(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8-byte counter"))
 }
@@ -795,7 +808,7 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                 }
                 if t0.elapsed() > DRAIN_WAIT {
                     return Err(format!(
-                        "{tag}: {who} release stage did not drain: \
+                        "{tag}: {who} durability gates did not drain: \
                          gates_pending={} send_gates_pending={}",
                         st.gates_pending, st.send_gates_pending
                     ));
@@ -909,7 +922,8 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
     if recovery_pool_failures > 0 {
         return Err(format!(
             "{tag}: {recovery_pool_failures} session(s) could not be replayed from \
-             the log by a clean recovery (left needs_recovery)"
+             the log by a clean recovery (left needs_recovery); first: {}",
+            first_replay_failures(&world)
         ));
     }
 
@@ -1321,8 +1335,9 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
             if st.recovery_pool_failures > 0 {
                 return Err(format!(
                     "{tag}: {} session(s) could not be replayed from the log \
-                     (left needs_recovery)",
-                    st.recovery_pool_failures
+                     (left needs_recovery); first: {}",
+                    st.recovery_pool_failures,
+                    first_replay_failures(&world)
                 ));
             }
             // No convoy: one tick forces at most its share of the
@@ -1922,7 +1937,7 @@ mod tests {
                 session: SessionId(i),
             });
         }
-        log.flush_to(log.end_lsn()).unwrap();
+        log.flush_all().unwrap();
         log.close();
         let audit = audit_log(&disk, "unit").expect("clean log passes");
         assert_eq!(audit.records, 4);

@@ -273,6 +273,15 @@ impl MspSlot {
         self.handle.lock().as_ref().map(|h| h.stats())
     }
 
+    /// The first session the current incarnation's recovery pool could
+    /// not replay, with the error (`None` while the MSP is down).
+    pub fn first_replay_failure(&self) -> Option<(msp_types::SessionId, String)> {
+        self.handle
+            .lock()
+            .as_ref()
+            .and_then(|h| h.first_replay_failure())
+    }
+
     /// Physical-log counters (log-based configurations with the MSP up).
     pub fn log_stats(&self) -> Option<msp_wal::stats::LogStatsSnapshot> {
         self.handle.lock().as_ref().and_then(|h| h.log_stats())

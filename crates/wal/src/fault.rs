@@ -41,11 +41,10 @@ pub enum CrashPoint {
     /// In the session-replay loop of a *prior* recovery — the
     /// crash-during-recovery case (§4.5 multi-crash).
     ReplayStep,
-    /// In `outgoing_call`, after a pipelined send's durability gate has
-    /// been issued and the envelope parked, but before the release stage
-    /// can emit it: the parked send dies with the volatile tail. Fires on
-    /// the *sender* of a cross-domain call (MSP1 in the Pessimistic
-    /// configuration).
+    /// In `outgoing_call`, after a cross-domain send's durability gate has
+    /// been issued, but before the send can leave: the waiting send dies
+    /// with the volatile tail. Fires on the *sender* of a cross-domain
+    /// call (MSP1 in the Pessimistic configuration).
     SendGateIssue,
     /// At `serve_flush_request` entry, before the local `flush_to`: the
     /// remote participant of a peer's durability gate dies inside the

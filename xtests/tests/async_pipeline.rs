@@ -4,13 +4,14 @@
 //! replies (PR 5) and cross-domain outgoing sends (PR 6) alike.
 //!
 //! The pipeline moves the wait for durability off the worker thread and
-//! onto the *envelope*: `dispatch_reply` (and, for deep call chains,
-//! `pipelined_send`) issues the distributed flush, parks the envelope
-//! behind its [`DurabilityGate`], and the release stage emits it once
-//! the gate settles. These tests pin the properties that make that safe:
+//! onto the *reply*: `send_reply` issues the distributed flush, parks the
+//! reply behind its [`DurabilityGate`], and the release stage emits it
+//! once the gate settles. A cross-domain send (deep call chains) waits
+//! out its gate on its worker, which has handed its run token back to
+//! the pool. These tests pin the properties that make that safe:
 //!
-//! 1. an envelope parked between issue and settle is **never** released
-//!    if the MSP crashes first (the client's resend re-drives the
+//! 1. a reply or send whose gate is between issue and settle **never**
+//!    leaves if the MSP crashes first (the client's resend re-drives the
 //!    request through recovery instead), and
 //! 2. with the fixed traffic of `fixed_run` / `fixed_chain_run`, the
 //!    pipelined paths commit the session transcripts and byte-identical
@@ -240,7 +241,7 @@ fn pipeline_counters_track_releases_and_drain() {
 
 /// The Pessimistic world: MSP1 and MSP2 in separate domains, so every
 /// `ServiceMethod1 → ServiceMethod2` hop is a pessimistic boundary
-/// whose outgoing send is gate-parked in the release stage.
+/// whose outgoing send waits out a durability gate.
 fn chain_world() -> World {
     World::start(WorldOptions {
         time_scale: 0.0,
@@ -252,9 +253,9 @@ fn chain_world() -> World {
     })
 }
 
-/// Crash MSP1 inside the parked-send window — after `pipelined_send`
-/// has issued the gate and parked the outgoing envelope, before the
-/// release stage can emit it. The chain's hop is lost with the crash;
+/// Crash MSP1 inside the gated-send window — after `gated_send` has
+/// issued the gate, before the outgoing request can leave. The chain's
+/// hop is lost with the crash;
 /// the client's resend re-drives the request through recovery, and the
 /// session counters must stay exactly-once: a send released without its
 /// durability gate would surface as a duplicated execution at MSP2, a
@@ -298,7 +299,7 @@ fn crash_in_parked_send_window_is_exactly_once() {
 }
 
 /// The other end of the window: crash MSP2 — the flush *participant* a
-/// parked send's gate is waiting on — while deep chains are in flight.
+/// waiting send's gate depends on — while deep chains are in flight.
 /// MSP1's gates fail or time out, its sessions recover, and the resends
 /// must deduplicate at the restarted MSP2.
 #[test]
