@@ -146,13 +146,6 @@ pub struct MspConfig {
     /// parallel session replay). Separate from `workers` so replay never
     /// starves new sessions arriving mid-recovery.
     pub recovery_threads: usize,
-    /// 64 KB blocks in the shared read-only replay cache over the
-    /// immutable crash-time log. Crash recovery replays from the records
-    /// its analysis scan retained; this pool serves what a session's
-    /// queue does not hold (the tail of a replay window longer than
-    /// `logging.session_ckpt_threshold`) instead of per-frame device
-    /// reads.
-    pub replay_cache_blocks: usize,
     /// Replay crashed sessions one at a time on a single thread, each
     /// re-reading its window from the log instead of consuming the
     /// analysis scan's queues — the reference oracle for tests, which
@@ -192,7 +185,6 @@ impl MspConfig {
             rpc_timeout: Duration::from_millis(400),
             flush_retry_limit: 200,
             recovery_threads: 4,
-            replay_cache_blocks: 64,
             serial_recovery: false,
             log_stripes: 0,
             runtime_shards: 1,
@@ -230,12 +222,6 @@ impl MspConfig {
     #[must_use]
     pub fn with_recovery_threads(mut self, threads: usize) -> MspConfig {
         self.recovery_threads = threads;
-        self
-    }
-
-    #[must_use]
-    pub fn with_replay_cache_blocks(mut self, blocks: usize) -> MspConfig {
-        self.replay_cache_blocks = blocks;
         self
     }
 
@@ -313,18 +299,15 @@ mod tests {
     fn knob_builders() {
         let cfg = MspConfig::new(MspId(1), DomainId(1))
             .with_recovery_threads(8)
-            .with_replay_cache_blocks(16)
             .with_serial_recovery(true)
             .with_log_stripes(4)
             .with_runtime_shards(2);
         assert_eq!(cfg.recovery_threads, 8);
-        assert_eq!(cfg.replay_cache_blocks, 16);
         assert!(cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 4);
         assert_eq!(cfg.runtime_shards, 2);
         let cfg = MspConfig::new(MspId(1), DomainId(1));
         assert_eq!(cfg.recovery_threads, 4);
-        assert_eq!(cfg.replay_cache_blocks, 64);
         assert!(!cfg.serial_recovery);
         assert_eq!(cfg.log_stripes, 0, "single log is the default");
         assert_eq!(cfg.runtime_shards, 1, "one shard is the default");

@@ -19,8 +19,8 @@
 //!   then replay all sessions **in parallel** on a dedicated recovery
 //!   pool — longest window first, from their queues — while the recovery
 //!   checkpoint is taken and the worker pool is already accepting new
-//!   work. The log is read once; only a replay window longer than the
-//!   retained prefix goes back to it, through a shared block cache.
+//!   work. The log is read once: each queue holds its session's whole
+//!   replay window.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -30,7 +30,7 @@ use std::time::Instant;
 use msp_types::{Lsn, MspError, MspResult, RecoveryRecord, SessionId};
 use msp_wal::log::DATA_START;
 use msp_wal::record::MspCheckpointBody;
-use msp_wal::{CrashPoint, LogRecord, PositionStream, WalReplayCache};
+use msp_wal::{CrashPoint, LogRecord, PositionStream};
 
 use crate::envelope::ReplyStatus;
 use crate::replay::{Consume, ReplayCursor, ReplayQueue};
@@ -100,12 +100,10 @@ impl MspInner {
         let me = self.cfg.id;
 
         // After a crash the analysis scan left this session's records in
-        // its queue; what the queue does not hold is read through the
-        // block cache all sessions share over the immutable crash-time
-        // log. Outside crash recovery (live orphan recovery, serial
-        // baseline) there is neither, and reads go to the log directly.
+        // its queue. Without one (live orphan recovery, the serial
+        // baseline, a session recovered again after a peer's crash)
+        // replay reads the log directly.
         let mut queue = st.replay_queue.take();
-        let cache = self.replay_cache.lock().clone();
 
         // Snapshot the replay window, then reset the session to its most
         // recent checkpoint (or to a fresh state).
@@ -113,10 +111,9 @@ impl MspInner {
         let ckpt_record = match st.last_ckpt {
             Some(ckpt) => Some((
                 ckpt,
-                match (queue.as_mut().and_then(|q| q.take_checkpoint(ckpt)), &cache) {
-                    (Some(held), _) => held,
-                    (None, Some(c)) => c.read_record(ckpt)?,
-                    (None, None) => log.read_record(ckpt)?,
+                match queue.as_mut().and_then(|q| q.take_checkpoint(ckpt)) {
+                    Some(held) => held,
+                    None => log.read_record(ckpt)?,
                 },
             )),
             None => None,
@@ -140,16 +137,15 @@ impl MspInner {
         *st = restored;
 
         // I/O accounting: the queue costs nothing (the scan paid for those
-        // bytes) and the shared cache charges each 64 KB block once, on
-        // its miss. Without either, charge the whole window sequentially
-        // (§5.4: replay reads 64 KB chunks).
-        if cache.is_none() {
+        // bytes). Without one, charge the whole window sequentially (§5.4:
+        // replay reads 64 KB chunks).
+        if queue.is_none() {
             if let (Some(&first), Some(&last)) = (positions.first(), positions.last()) {
                 log.charge_sequential_read(last.0 - first.0 + 1);
             }
         }
 
-        let mut cursor = ReplayCursor::new(positions).with_cache(cache);
+        let mut cursor = ReplayCursor::new(positions);
         if let Some(queue) = queue {
             cursor = cursor.with_queue(*queue);
         }
@@ -299,17 +295,14 @@ impl MspInner {
         //    variables forward, gather knowledge — and keep what was
         //    decoded. Each session-stream record moves, with its framed
         //    length, into its session's replay queue, so replay does not
-        //    read and decode the window a second time. A queue is a
-        //    prefix capped at the session checkpointing threshold, the
-        //    bound checkpointing already puts on a replay window; a
-        //    longer window (checkpoints off) keeps positions only past
-        //    the cap and reads that tail through the replay pool built
-        //    after the scan. The parallel engine streams chunks off the
-        //    disk in a prefetch stage so decode overlaps I/O; the serial
-        //    baseline alternates read/decode, retains nothing and replays
-        //    from the log — the independent oracle for all of the above.
+        //    read and decode the window a second time. A queue holds the
+        //    whole window: with checkpoints on, the session checkpointing
+        //    threshold bounds it; with them off it is the scanned log.
+        //    The parallel engine streams chunks off the disk in a
+        //    prefetch stage so decode overlaps I/O; the serial baseline
+        //    alternates read/decode, retains nothing and replays from the
+        //    log — the independent oracle for all of the above.
         let serial = self.cfg.serial_recovery;
-        let cap = self.cfg.logging.session_ckpt_threshold;
         let mut sessions: HashMap<SessionId, ScannedSession> = HashMap::new();
         let mut ended: HashSet<SessionId> = HashSet::new();
         let mut scan = if serial {
@@ -400,7 +393,7 @@ impl MspInner {
                     });
                     scanned.stream.push(lsn);
                     if let Some(queue) = &mut scanned.queue {
-                        queue.push(record, framed, cap);
+                        queue.push(record, framed);
                     }
                 }
             }
@@ -414,17 +407,11 @@ impl MspInner {
         //    the log's append point, handed to the log here because it
         //    was opened unpositioned (no walk of its own), and everything
         //    at or beyond it is lost. The largest persistent LSN, just
-        //    below it, bounds what survived. Records recovery appends from
-        //    here on land past the replay pool's limit (this end) and fall
-        //    back to direct log reads.
+        //    below it, bounds what survived.
         let end = scan.position();
         drop(scan);
         log.resume_at(end);
         let recovered_lsn = Lsn(end.0.saturating_sub(1));
-        if !serial {
-            let pool = Arc::new(msp_wal::BufferPool::new(self.cfg.replay_cache_blocks));
-            *self.replay_cache.lock() = Some(Arc::new(WalReplayCache::with_pool(log, &pool)));
-        }
         self.stats
             .recovery_analysis_nanos
             .store(t_analysis.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -448,14 +435,13 @@ impl MspInner {
         //    travels in the session's state, so whichever thread gets
         //    there first takes it — until the recovery pool reaches them.
         let mut to_replay = Vec::new();
-        let (mut retained_bytes, mut overflow_records) = (0, 0);
+        let mut retained_bytes = 0;
         {
             let mut live = self.sessions.lock();
             for (sid, scanned) in sessions {
                 let (anchor, is_ckpt) = scanned.anchor;
                 if let Some(queue) = &scanned.queue {
                     retained_bytes += queue.retained_bytes();
-                    overflow_records += queue.overflow_records();
                 }
                 to_replay.push((sid, scanned.stream.span_bytes()));
                 let mut st = SessionState::fresh();
@@ -470,9 +456,6 @@ impl MspInner {
         self.stats
             .recovery_retained_bytes
             .store(retained_bytes, Ordering::Relaxed);
-        self.stats
-            .recovery_overflow_records
-            .store(overflow_records, Ordering::Relaxed);
         if serial {
             // The legacy deterministic order: ascending session id.
             to_replay.sort_unstable_by_key(|&(sid, _)| sid);

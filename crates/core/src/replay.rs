@@ -35,33 +35,30 @@
 //!
 //! After an MSP crash the cursor does not read the log a second time: the
 //! analysis scan hands each session a [`ReplayQueue`] of the records it
-//! already decoded, and the cursor pops them as it goes. Only what the
-//! queue does not hold — the tail of a window longer than the retained
-//! prefix, or any record once the queue has been consumed — is read back
-//! through the replay cache or the log.
+//! already decoded — the whole window — and the cursor pops them as it
+//! goes. A cursor without a queue (the serial oracle, live orphan
+//! recovery, a session recovered again after its queue was consumed)
+//! reads the log.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use msp_types::{Lsn, MspError, MspId, MspResult, RecoveryKnowledge, SessionId};
-use msp_wal::{LogRecord, Wal, WalReplayCache};
+use msp_wal::{LogRecord, Wal};
 
 /// What the crash-recovery analysis scan keeps of one session's replay
 /// window, so replay does not read and decode it again: the decoded
-/// records of the position stream's *prefix* and where the stream's EOS
-/// records are. The scan moves each record in as it demultiplexes; the
-/// session's recovery takes the queue (once — it travels in the session's
-/// state, under its lock) and the cursor pops records as it consumes them.
+/// records of the whole position stream and where its EOS records are.
+/// The scan moves each record in as it demultiplexes; the session's
+/// recovery takes the queue (once — it travels in the session's state,
+/// under its lock) and the cursor pops records as it consumes them.
 #[derive(Debug, Default)]
 pub struct ReplayQueue {
     /// The `SessionCheckpoint` the stream restarts from, if it has one.
     checkpoint: Option<(Lsn, LogRecord)>,
-    /// Record and framed length of stream positions `0..records.len()`.
+    /// Record and framed length of every stream position, in order.
     records: VecDeque<(LogRecord, u64)>,
     /// Framed bytes held in `records`.
     bytes: u64,
-    /// Stream positions past the retained prefix (LSN only).
-    overflow: u64,
     /// `orphan_lsn → ascending stream indices of the EOS records closing
     /// it` — the scan sees every EOS anyway, so the cursor never has to
     /// search for one.
@@ -78,30 +75,19 @@ impl ReplayQueue {
         }
     }
 
-    /// Append the stream's next record. It is retained while the prefix
-    /// stays within `cap` framed bytes; from the first record that does
-    /// not fit, the stream keeps positions only.
-    pub fn push(&mut self, record: LogRecord, framed: u64, cap: u64) {
+    /// Append the stream's next record.
+    pub fn push(&mut self, record: LogRecord, framed: u64) {
         if let LogRecord::Eos { orphan_lsn, .. } = &record {
-            let index = self.records.len() + self.overflow as usize;
+            let index = self.records.len();
             self.eos.entry(orphan_lsn.0).or_default().push(index);
         }
-        if self.overflow == 0 && self.bytes + framed <= cap {
-            self.bytes += framed;
-            self.records.push_back((record, framed));
-        } else {
-            self.overflow += 1;
-        }
+        self.bytes += framed;
+        self.records.push_back((record, framed));
     }
 
-    /// Framed bytes of the retained prefix.
+    /// Framed bytes of the retained records.
     pub fn retained_bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Stream records that did not fit the retained prefix.
-    pub fn overflow_records(&self) -> u64 {
-        self.overflow
     }
 
     /// The retained checkpoint record, if it is the one logged at `lsn`.
@@ -135,10 +121,6 @@ pub struct ReplayCursor {
     /// `queue_base..`, popped as they are consumed.
     queue: VecDeque<(LogRecord, u64)>,
     queue_base: usize,
-    /// Shared read-only block cache over the immutable crash-time log;
-    /// when present, all replay reads below its limit are served from it
-    /// instead of per-frame device reads.
-    cache: Option<Arc<WalReplayCache>>,
     /// `orphan_lsn → ascending stream indices of EOS records closing it`.
     /// Handed over by the analysis scan with the queue; a cursor without
     /// one builds it in one pass over the stream on the first orphan hit.
@@ -159,7 +141,6 @@ impl ReplayCursor {
             idx: 0,
             queue: VecDeque::new(),
             queue_base: 0,
-            cache: None,
             eos_index: None,
             went_live: false,
             orphan_hit: None,
@@ -167,15 +148,7 @@ impl ReplayCursor {
         }
     }
 
-    /// Serve replay reads through `cache` (crash recovery); `None` keeps
-    /// direct log reads (live orphan recovery, serial baseline).
-    #[must_use]
-    pub fn with_cache(mut self, cache: Option<Arc<WalReplayCache>>) -> ReplayCursor {
-        self.cache = cache;
-        self
-    }
-
-    /// Serve the stream's prefix from what the analysis scan retained.
+    /// Serve the stream from what the analysis scan retained.
     #[must_use]
     pub fn with_queue(mut self, queue: ReplayQueue) -> ReplayCursor {
         self.queue = queue.records;
@@ -184,8 +157,8 @@ impl ReplayCursor {
     }
 
     /// The record at the cursor: from the queue front when the scan
-    /// retained it, else read back (cache, then log). Retained records an
-    /// EOS jump skipped are dropped on the way.
+    /// retained it, else read from the log. Retained records an EOS jump
+    /// skipped are dropped on the way.
     fn next_sized(&mut self, log: &Wal, lsn: Lsn) -> MspResult<(LogRecord, u64)> {
         let skipped = self
             .idx
@@ -199,17 +172,7 @@ impl ReplayCursor {
                 return Ok(held);
             }
         }
-        self.read_sized(log, lsn)
-    }
-
-    /// One record read, via the block cache when attached. The cache
-    /// forwards reads past its immutable limit back to the log, which
-    /// can also serve its own volatile tail.
-    fn read_sized(&self, log: &Wal, lsn: Lsn) -> MspResult<(LogRecord, u64)> {
-        match &self.cache {
-            Some(c) => c.read_record_sized(lsn),
-            None => log.read_record_sized(lsn),
-        }
+        log.read_record_sized(lsn)
     }
 
     /// Records not yet consumed.
@@ -305,7 +268,7 @@ impl ReplayCursor {
         if self.eos_index.is_none() {
             let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
             for (j, &pos) in self.positions.iter().enumerate() {
-                if let (LogRecord::Eos { orphan_lsn: o, .. }, _) = self.read_sized(log, pos)? {
+                if let LogRecord::Eos { orphan_lsn: o, .. } = log.read_record(pos)? {
                     index.entry(o.0).or_default().push(j);
                 }
             }
@@ -564,26 +527,25 @@ mod tests {
     }
 
     /// What the analysis scan would hand over for `positions`.
-    fn scanned(log: &Wal, positions: &[Lsn], cap: u64) -> ReplayQueue {
+    fn scanned(log: &Wal, positions: &[Lsn]) -> ReplayQueue {
         let mut queue = ReplayQueue::default();
         for &lsn in positions {
             let (record, framed) = log.read_record_sized(lsn).unwrap();
-            queue.push(record, framed, cap);
+            queue.push(record, framed);
         }
         queue
     }
 
     #[test]
     fn eos_lookup_decodes_each_position_at_most_once() {
-        // The scan records where the EOS records are, so an orphan hit
-        // costs no search: with nothing retained (cap 0) every stream
-        // position is read back at most once, however many skip ranges
-        // the stream contains.
+        // The scan decodes every stream position once and records where
+        // the EOS records are, so an orphan hit costs no search: scan and
+        // replay together read each position at most once, however many
+        // skip ranges the stream contains.
         let (log, k, positions) = two_skip_ranges();
         let n = positions.len() as u64;
-        let queue = scanned(&log, &positions, 0);
-        assert_eq!(queue.overflow_records(), n);
         let before = log.stats().record_reads;
+        let queue = scanned(&log, &positions);
         let mut cur = ReplayCursor::new(positions).with_queue(queue);
         while let Consume::Record { .. } = cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap() {}
         let reads = log.stats().record_reads - before;
@@ -599,8 +561,7 @@ mod tests {
     fn retained_queue_serves_replay_without_log_reads() {
         let (log, k, positions) = two_skip_ranges();
         let live = *positions.last().unwrap();
-        let queue = scanned(&log, &positions, u64::MAX);
-        assert_eq!(queue.overflow_records(), 0);
+        let queue = scanned(&log, &positions);
         assert!(queue.retained_bytes() > 0);
         let before = log.stats().record_reads;
         let mut cur = ReplayCursor::new(positions).with_queue(queue);
@@ -614,31 +575,6 @@ mod tests {
         ));
         assert_eq!(cur.eos_ranges_skipped, 2);
         assert_eq!(log.stats().record_reads, before, "all from the queue");
-        log.close();
-    }
-
-    #[test]
-    fn window_past_the_cap_reads_its_tail_from_the_log() {
-        let log = test_log();
-        let positions: Vec<Lsn> = (0..6).map(|i| log.append(&req(i, None))).collect();
-        let (_, framed) = log.read_record_sized(positions[0]).unwrap();
-        // Room for exactly two records; a prefix never resumes once cut.
-        let queue = scanned(&log, &positions, 2 * framed);
-        assert_eq!(queue.retained_bytes(), 2 * framed);
-        assert_eq!(queue.overflow_records(), 4);
-        let k = RecoveryKnowledge::new();
-        let before = log.stats().record_reads;
-        let mut cur = ReplayCursor::new(positions.clone()).with_queue(queue);
-        let got: Vec<Lsn> =
-            std::iter::from_fn(
-                || match cur.consume(&log, &k, MspId(1), SessionId(1)).unwrap() {
-                    Consume::Record { lsn, .. } => Some(lsn),
-                    Consume::WentLive => None,
-                },
-            )
-            .collect();
-        assert_eq!(got, positions);
-        assert_eq!(log.stats().record_reads - before, 4, "the tail only");
         log.close();
     }
 

@@ -43,7 +43,7 @@ use msp_types::{
 };
 use msp_wal::{
     CrashPoint, Disk, DiskModel, FaultPlan, FlushPolicy, LogAnchor, LogRecord, PhysicalLog,
-    StripedLog, Wal, WalReplayCache,
+    StripedLog, Wal,
 };
 
 use crate::config::{ClusterConfig, MspConfig, SessionStrategy};
@@ -311,9 +311,6 @@ pub struct RuntimeStats {
     /// Framed log bytes the last crash recovery's analysis scan retained
     /// in per-session replay queues.
     pub recovery_retained_bytes: AtomicU64,
-    /// Session-stream records of the last crash recovery that did not fit
-    /// a queue's retained prefix and were read back through the pool.
-    pub recovery_overflow_records: AtomicU64,
 }
 
 /// Snapshot of [`RuntimeStats`].
@@ -349,7 +346,6 @@ pub struct RuntimeStatsSnapshot {
     pub recovery_pool_sessions: u64,
     pub recovery_pool_failures: u64,
     pub recovery_retained_bytes: u64,
-    pub recovery_overflow_records: u64,
 }
 
 impl RuntimeStats {
@@ -385,7 +381,6 @@ impl RuntimeStats {
             recovery_pool_sessions: self.recovery_pool_sessions.load(Ordering::Relaxed),
             recovery_pool_failures: self.recovery_pool_failures.load(Ordering::Relaxed),
             recovery_retained_bytes: self.recovery_retained_bytes.load(Ordering::Relaxed),
-            recovery_overflow_records: self.recovery_overflow_records.load(Ordering::Relaxed),
         }
     }
 }
@@ -490,11 +485,6 @@ pub struct MspInner {
     pub(crate) req_ids: AtomicU64,
     pub(crate) stopped: AtomicBool,
     pub(crate) stats: RuntimeStats,
-    /// Shared read-only block cache over the crash-time log; present only
-    /// between crash recovery's analysis scan and the end of parallel
-    /// replay. Inline recoveries triggered by early-arriving requests use
-    /// it too.
-    pub(crate) replay_cache: Mutex<Option<Arc<WalReplayCache>>>,
     /// `false` while crashed sessions are still awaiting replay; set by
     /// the recovery pool when the replay phase completes.
     pub(crate) recovery_done: AtomicBool,
@@ -503,10 +493,6 @@ pub struct MspInner {
     /// [`crate::checkpoint::pick_forced_checkpoints`]). Held for the whole
     /// of an MSP checkpoint, which it thereby serialises.
     pub(crate) forced_ckpt_credit: Mutex<u64>,
-    /// Buffer-pool counters accumulated from replay pools already
-    /// retired (the live pool's counters are read directly); together
-    /// they give the process-lifetime pool totals.
-    pub(crate) retired_pool_stats: Mutex<msp_wal::PoolStatsSnapshot>,
     /// The first replay failure of the recovery pool: session and error.
     pub(crate) first_replay_failure: OnceLock<(SessionId, String)>,
 }
@@ -1479,7 +1465,7 @@ impl MspInner {
     /// (already ordered longest-window-first, or by id under
     /// `serial_recovery`) across `recovery_threads` threads, each session
     /// replaying from the queue the analysis scan left it, then publish
-    /// the replay makespan and drop the shared block cache. Runs apart
+    /// the replay makespan. Runs apart
     /// from the live worker pool so replay never starves sessions arriving
     /// mid-recovery.
     fn recovery_pool(self: Arc<Self>, sessions: Vec<(SessionId, u64)>) {
@@ -1534,13 +1520,6 @@ impl MspInner {
         self.stats
             .recovery_replay_nanos
             .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // The immutable crash-time window has been consumed; bank the
-        // pool's counters and release it so live orphan recoveries read
-        // the log directly.
-        if let Some(cache) = self.replay_cache.lock().take() {
-            let mut retired = self.retired_pool_stats.lock();
-            *retired = retired.merge(&cache.pool().stats());
-        }
         self.recovery_done.store(true, Ordering::Release);
     }
 
@@ -1862,10 +1841,8 @@ impl MspBuilder {
             req_ids: AtomicU64::new(1),
             stopped: AtomicBool::new(false),
             stats: RuntimeStats::default(),
-            replay_cache: Mutex::new(None),
             recovery_done: AtomicBool::new(true),
             forced_ckpt_credit: Mutex::new(0),
-            retired_pool_stats: Mutex::new(msp_wal::PoolStatsSnapshot::default()),
             first_replay_failure: OnceLock::new(),
         });
 
@@ -2007,14 +1984,10 @@ impl MspHandle {
         self.inner.log.as_ref().map(|l| l.stripe_stats())
     }
 
-    /// Process-lifetime replay buffer-pool counters: retired pools'
-    /// banked totals plus the live pool's, if a recovery is in flight.
+    /// Always zero: there is no replay buffer pool. Kept only for the
+    /// benchmark (see `msp_wal::PoolStatsSnapshot`).
     pub fn pool_stats(&self) -> msp_wal::PoolStatsSnapshot {
-        let retired = *self.inner.retired_pool_stats.lock();
-        match self.inner.replay_cache.lock().as_ref() {
-            Some(cache) => retired.merge(&cache.pool().stats()),
-            None => retired,
-        }
+        msp_wal::PoolStatsSnapshot::default()
     }
 
     /// Per-shard runtime-counter breakdown, in shard order.

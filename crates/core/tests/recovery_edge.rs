@@ -461,38 +461,41 @@ fn recovery_complete_lands_at_the_end_of_a_checkpointed_scan() {
 
 #[test]
 fn restart_reads_the_log_image_once() {
-    // An image of N 64 KB read chunks whose every record fits the replay
-    // queues: a restart reads each chunk once (the analysis scan), plus a
-    // few small reads (floor, anchor, the first-boot probe) — not the
-    // N more a walk to find the append point used to read.
-    let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
-    let disk = Arc::new(MemDisk::new());
-    let msp = start_ckpt(&net, Arc::clone(&disk), u64::MAX, false);
-    let mut c = client(&net);
-    let payload = vec![7u8; 16 * 1024];
-    for i in 1..=192u64 {
-        let reply = c.call(M1, "tick", &payload).unwrap();
-        assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), i);
-    }
-    msp.crash();
-    let image = disk.snapshot();
-    let chunks = (image.len() as u64 - DATA_START).div_ceil(SCAN_CHUNK as u64);
-    assert!(chunks >= 48, "a {chunks}-chunk image");
+    // An image of N 64 KB read chunks: a restart reads each chunk once
+    // (the analysis scan), plus a few small reads (floor, anchor, the
+    // first-boot probe) — not the N more a walk to find the append point
+    // used to read. With checkpoints off the replay window is the whole
+    // 3 MB log, longer than the 1 MB session checkpoint threshold, and it
+    // is still not read a second time.
+    for session_threshold in [u64::MAX, 1 << 20] {
+        let net: Network<Envelope> = Network::new(NetModel::zero(), 1);
+        let disk = Arc::new(MemDisk::new());
+        let msp = start_ckpt(&net, Arc::clone(&disk), session_threshold, false);
+        let mut c = client(&net);
+        let payload = vec![7u8; 16 * 1024];
+        for i in 1..=192u64 {
+            let reply = c.call(M1, "tick", &payload).unwrap();
+            assert_eq!(u64::from_le_bytes(reply[..8].try_into().unwrap()), i);
+        }
+        msp.crash();
+        let image = disk.snapshot();
+        let chunks = (image.len() as u64 - DATA_START).div_ceil(SCAN_CHUNK as u64);
+        assert!(chunks >= 48, "a {chunks}-chunk image");
 
-    let restored = Arc::new(MemDisk::new());
-    restored.write(0, &image).unwrap();
-    let msp = start_ckpt(&net, Arc::clone(&restored), u64::MAX, false);
-    await_recovery(&msp);
-    let reads = restored.read_count();
-    assert_eq!(msp.stats().replayed_requests, 192);
-    assert_eq!(msp.pool_stats().pool_misses, 0, "replay read no block");
-    assert!(
-        reads >= chunks && reads <= chunks + chunks / 4,
-        "{reads} device reads for a {chunks}-chunk image"
-    );
-    assert_eq!(call_u64(&mut c, "tick"), 193);
-    msp.shutdown();
-    net.shutdown();
+        let restored = Arc::new(MemDisk::new());
+        restored.write(0, &image).unwrap();
+        let msp = start_ckpt(&net, Arc::clone(&restored), session_threshold, false);
+        await_recovery(&msp);
+        let reads = restored.read_count();
+        assert_eq!(msp.stats().replayed_requests, 192);
+        assert!(
+            reads >= chunks && reads <= chunks + chunks / 4,
+            "threshold {session_threshold}: {reads} device reads for a {chunks}-chunk image"
+        );
+        assert_eq!(call_u64(&mut c, "tick"), 193);
+        msp.shutdown();
+        net.shutdown();
+    }
 }
 
 #[test]

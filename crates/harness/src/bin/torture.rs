@@ -194,9 +194,17 @@ fn main() -> ExitCode {
                         println!("ok    {report}");
                     }
                 }
-                Err(msg) => {
-                    println!("FAIL  seed={seed:<4} config={:<12} {msg}", config.name());
-                    failures.push((seed, config, shape, msg));
+                Err(failure) => {
+                    crashes += failure.crashes;
+                    recovery_crashes += failure.recovery_crashes;
+                    println!(
+                        "FAIL  seed={seed:<4} config={:<12} crashes={} (during-recovery {}) {}",
+                        config.name(),
+                        failure.crashes,
+                        failure.recovery_crashes,
+                        failure.message
+                    );
+                    failures.push((seed, config, shape, failure.message));
                 }
             }
         }

@@ -29,7 +29,7 @@ pub mod world;
 
 pub use metrics::{await_recovery, RecoveryPhases, Series, Summary};
 pub use torture::{
-    run_torture, run_torture_long_run, LongRunOptions, LongRunReport, Schedule, TortureOptions,
-    TortureReport, WorkloadShape,
+    run_torture, run_torture_long_run, LongRunOptions, LongRunReport, Schedule, TortureFailure,
+    TortureOptions, TortureReport, WorkloadShape,
 };
 pub use world::{FlushMode, SystemConfig, World, WorldOptions};

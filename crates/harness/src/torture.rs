@@ -371,21 +371,14 @@ pub struct TortureReport {
     /// Byte-growth-triggered checkpoints across both MSPs (timer-driven
     /// ones are not counted here).
     pub checkpoints_scheduled: u64,
-    /// Process-level recovery buffer-pool counters summed over both MSPs'
-    /// final incarnations (retired pool runs of that incarnation
-    /// included; earlier incarnations' counters die with their rebuild,
-    /// like the truncation numbers above).
-    pub pool: msp_wal::PoolStatsSnapshot,
     /// Sessions the final incarnations' recovery pools could not replay
     /// from the log. Those incarnations recovered with no fault armed
     /// (every injected crash ends in a kill and a clean restart), so the
     /// oracle fails the run when this is non-zero.
     pub recovery_pool_failures: u64,
     /// Log bytes the final incarnations' analysis scans retained in
-    /// per-session replay queues, and the stream records that did not
-    /// fit one and were read back through the pool.
+    /// per-session replay queues.
     pub recovery_retained_bytes: u64,
-    pub recovery_overflow_records: u64,
     /// The forced-checkpoint scheduler of both MSPs' final incarnations:
     /// batches (ticks that held at least one session), sessions
     /// checkpointed, picks skipped because the session was busy.
@@ -455,22 +448,8 @@ impl std::fmt::Display for TortureReport {
                 self.truncations, self.bytes_reclaimed, self.checkpoints_scheduled
             )?;
         }
-        if self.pool.pool_hits + self.pool.pool_misses > 0 {
-            write!(
-                f,
-                " pool={}h/{}m/{}ev/{}pf",
-                self.pool.pool_hits,
-                self.pool.pool_misses,
-                self.pool.pool_evictions,
-                self.pool.pool_prefetch_hits
-            )?;
-        }
-        if self.recovery_retained_bytes + self.recovery_overflow_records > 0 {
-            write!(
-                f,
-                " replay_queue={}B/{}over",
-                self.recovery_retained_bytes, self.recovery_overflow_records
-            )?;
+        if self.recovery_retained_bytes > 0 {
+            write!(f, " replay_queue={}B", self.recovery_retained_bytes)?;
         }
         if self.forced_ckpts.batches + self.forced_ckpts.skipped_busy > 0 {
             write!(f, " {}", self.forced_ckpts)?;
@@ -504,9 +483,37 @@ fn le_counter(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8-byte counter"))
 }
 
-/// Run one torture storm. `Err` carries a message that always embeds the
-/// reproducing seed and configuration.
-pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
+/// A failed storm: the verdict, and the crashes the storm injected
+/// before it was reached.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TortureFailure {
+    /// Always embeds the reproducing seed and configuration.
+    pub message: String,
+    /// Crash points that fired, as [`TortureReport::crashes`] counts them.
+    pub crashes: u64,
+    /// Of those, the ones that fired during a prior recovery.
+    pub recovery_crashes: u64,
+}
+
+impl std::fmt::Display for TortureFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// Run one torture storm.
+pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, TortureFailure> {
+    let mut tally = (0, 0);
+    run_storm(opts, &mut tally).map_err(|message| TortureFailure {
+        message,
+        crashes: tally.0,
+        recovery_crashes: tally.1,
+    })
+}
+
+/// [`run_torture`]'s body; `tally` receives the crashes fired and those
+/// fired during a recovery once the storm has settled, before any verdict.
+fn run_storm(opts: &TortureOptions, tally: &mut (u64, u64)) -> Result<TortureReport, String> {
     let sched = Schedule::generate(opts);
     let tag = format!(
         "torture seed={} config={} shape={}",
@@ -766,6 +773,8 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         }
     });
 
+    *tally = (fired.len() as u64, recovery_crashes);
+
     // First client-level violation wins (it is the precise one).
     let mut msp2_calls = 0u64;
     for r in results {
@@ -858,10 +867,8 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
     let mut truncations = 0u64;
     let mut bytes_reclaimed = 0u64;
     let mut checkpoints_scheduled = 0u64;
-    let mut pool = msp_wal::PoolStatsSnapshot::default();
     let mut recovery_pool_failures = 0u64;
     let mut recovery_retained_bytes = 0u64;
-    let mut recovery_overflow_records = 0u64;
     let mut forced_ckpts = ForcedCkptStats::default();
     if opts.config.is_log_based() {
         for slot in [&world.msp1, &world.msp2] {
@@ -873,10 +880,8 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                 checkpoints_scheduled += st.checkpoints_scheduled;
                 recovery_pool_failures += st.recovery_pool_failures;
                 recovery_retained_bytes += st.recovery_retained_bytes;
-                recovery_overflow_records += st.recovery_overflow_records;
                 forced_ckpts.add(&st);
             }
-            pool = pool.merge(&slot.pool_stats());
         }
         if std::env::var_os("TORTURE_TRACE").is_some() {
             for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
@@ -890,24 +895,13 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
                     slot.reclaim_floor(),
                     slot.footprint(),
                 );
-                let ps = slot.pool_stats();
-                eprintln!(
-                    "[trace] {who} pool hits={} misses={} evictions={} \
-                     prefetch_hits={} prefetched_blocks={}",
-                    ps.pool_hits,
-                    ps.pool_misses,
-                    ps.pool_evictions,
-                    ps.pool_prefetch_hits,
-                    ps.pool_prefetched_blocks,
-                );
                 if let Some(st) = slot.stats() {
                     eprintln!(
                         "[trace] {who} recovery pool_sessions={} pool_failures={} \
-                         retained_bytes={} overflow_records={}",
+                         retained_bytes={}",
                         st.recovery_pool_sessions,
                         st.recovery_pool_failures,
                         st.recovery_retained_bytes,
-                        st.recovery_overflow_records,
                     );
                     eprintln!(
                         "[trace] {who} forced_ckpt batches={} sessions={} skipped_busy={}",
@@ -933,9 +927,6 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         .config
         .is_log_based()
         .then(|| [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())]);
-    // `world.crash_count()` reads the slot counters, which restart() resets
-    // when it rebuilds a slot; `fired` is the authoritative tally.
-    let crashes = fired.len() as u64;
     world.shutdown();
     let mut audits = Vec::new();
     if let Some(disks) = disks {
@@ -956,7 +947,9 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         clients: sched.clients,
         requests,
         msp2_calls,
-        crashes,
+        // `world.crash_count()` reads the slot counters, which restart()
+        // resets when it rebuilds a slot; `fired` is the authoritative tally.
+        crashes: tally.0,
         fired,
         recovery_crashes,
         scheduled_recovery_events: sched
@@ -968,10 +961,8 @@ pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, String> {
         truncations,
         bytes_reclaimed,
         checkpoints_scheduled,
-        pool,
         recovery_pool_failures,
         recovery_retained_bytes,
-        recovery_overflow_records,
         forced_ckpts,
         audits,
     })

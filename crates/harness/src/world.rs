@@ -325,16 +325,10 @@ impl MspSlot {
         self.handle.lock().as_ref().and_then(|h| h.stripe_stats())
     }
 
-    /// Process-level recovery buffer-pool counters of the *current*
-    /// incarnation (retired pool runs included via the runtime's banked
-    /// snapshot); zeroes while the MSP is down. Like
-    /// [`Self::log_stats`], the numbers reset at each rebuild.
+    /// Always zero: there is no replay buffer pool. Kept only for the
+    /// benchmark (see `msp_wal::PoolStatsSnapshot`).
     pub fn pool_stats(&self) -> msp_wal::PoolStatsSnapshot {
-        self.handle
-            .lock()
-            .as_ref()
-            .map(|h| h.pool_stats())
-            .unwrap_or_default()
+        msp_wal::PoolStatsSnapshot::default()
     }
 
     /// Per-shard runtime-counter breakdown (empty while the MSP is down).

@@ -2,10 +2,10 @@
 //! the one place that lays a frame out and the one place that checks one.
 //!
 //! Every reader (the volatile tail, random device reads, the recovery
-//! scanner's read-ahead buffer, the replay cache) hands [`read`] a byte
-//! source and gets back the validated payload; the error reasons are part
-//! of the contract, because the scanner's torn-tail rule and the fuzz
-//! tests match on [`MspError::LogCorrupt`].
+//! scanner's read-ahead buffer) hands [`read`] a byte source and gets
+//! back the validated payload; the error reasons are part of the
+//! contract, because the scanner's torn-tail rule and the fuzz tests
+//! match on [`MspError::LogCorrupt`].
 
 use msp_types::MspError;
 

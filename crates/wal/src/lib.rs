@@ -19,10 +19,6 @@
 //!   ring of staging segments.
 //! * `frame` — the record frame codec (magic, length, CRC-32), the one
 //!   place a frame is laid out or checked.
-//! * [`pool`] — the process-wide buffer pool of 64 KB log blocks
-//!   (second-chance clock replacement).
-//! * [`cache`] — the replay read view: one registered pool source bound
-//!   to one physical log, shared by all concurrently replaying sessions.
 //! * [`anchor`] — the ARIES-style log anchor holding the LSN of the most
 //!   recent MSP checkpoint (§3.4).
 //! * [`fault`] — seed-driven crash-point injection: countdown-armed crash
@@ -32,14 +28,12 @@
 //!   log-record extraction (and hence parallel recovery) efficient (§3.2).
 
 pub mod anchor;
-pub mod cache;
 pub mod crc;
 pub mod disk;
 pub mod fault;
 mod frame;
 pub mod log;
 pub mod model;
-pub mod pool;
 pub mod position;
 pub mod record;
 pub mod stats;
@@ -47,14 +41,47 @@ pub mod stripe;
 pub mod tail;
 
 pub use anchor::{read_floor, read_merged_floor, LogAnchor};
-pub use cache::ReplayCache;
 pub use disk::{Disk, FileDisk, MemDisk};
 pub use fault::{CrashPoint, FaultPlan};
 pub use log::{FlushPolicy, FlushTicket, LogScanner, PhysicalLog, SECTOR_SIZE};
 pub use model::DiskModel;
-pub use pool::{BufferPool, PoolStatsSnapshot};
 pub use position::PositionStream;
 pub use record::{LogRecord, MspCheckpointBody, SessionCheckpointBody};
 pub use stats::LogStats;
-pub use stripe::{StripedLog, StripedScanner, Wal, WalReplayCache, WalScanner};
+pub use stripe::{StripedLog, StripedScanner, Wal, WalScanner};
 pub use tail::{MAX_RESERVED_FRAME, SEGMENT_RING, SEGMENT_SIZE};
+
+/// Names kept for the benchmark, which imports them from the recovery
+/// buffer pool this crate no longer has: replay reads the records the
+/// analysis scan kept, and a session without them reads the log itself.
+/// `ReplayCache` reads straight from the log and ignores its block
+/// count; `PoolStatsSnapshot` always reads 0. Both go when the benchmark
+/// drops its `wal.pool_*` metrics.
+mod compat {
+    use std::sync::Arc;
+
+    use msp_types::{Lsn, MspError};
+
+    use crate::{LogRecord, PhysicalLog};
+
+    pub struct ReplayCache(Arc<PhysicalLog>);
+
+    impl ReplayCache {
+        pub fn new(log: &Arc<PhysicalLog>, _blocks: usize) -> ReplayCache {
+            ReplayCache(Arc::clone(log))
+        }
+
+        pub fn read_record(&self, lsn: Lsn) -> Result<LogRecord, MspError> {
+            self.0.read_record(lsn)
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PoolStatsSnapshot {
+        pub pool_hits: u64,
+        pub pool_misses: u64,
+        pub pool_evictions: u64,
+        pub pool_prefetch_hits: u64,
+    }
+}
+pub use compat::{PoolStatsSnapshot, ReplayCache};

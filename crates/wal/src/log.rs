@@ -411,12 +411,6 @@ impl PhysicalLog {
         self.stats.snapshot()
     }
 
-    /// The live counter struct, for in-crate collaborators (the replay
-    /// cache accounts its hits/misses against the log it fronts).
-    pub(crate) fn stats_ref(&self) -> &LogStats {
-        &self.stats
-    }
-
     /// Install a crash-point plan on the live log (torture rig). The plan
     /// fires at most once; see [`crate::fault`].
     pub fn install_fault_plan(&self, plan: Arc<FaultPlan>) {

@@ -20,9 +20,6 @@ pub struct LogStats {
     readahead_chunks: AtomicU64,
     append_reservations: AtomicU64,
     group_commit_batches: AtomicU64,
-    replay_cache_hits: AtomicU64,
-    replay_cache_misses: AtomicU64,
-    replay_cache_evictions: AtomicU64,
     prefetch_chunks: AtomicU64,
     flush_tickets_issued: AtomicU64,
     flush_tickets_completed: AtomicU64,
@@ -61,13 +58,6 @@ pub struct LogStatsSnapshot {
     /// flush request into the same device write (group-commit /
     /// batch coalescing events).
     pub group_commit_batches: u64,
-    /// Replay-cache block lookups served from memory.
-    pub replay_cache_hits: u64,
-    /// Replay-cache block lookups that went to the device (each one
-    /// charged the disk model for a 64 KB sequential read).
-    pub replay_cache_misses: u64,
-    /// Cached blocks displaced by the clock-eviction hand.
-    pub replay_cache_evictions: u64,
     /// 64 KB chunks streamed ahead of the analysis scan by the prefetch
     /// stage of the pipelined scanner.
     pub prefetch_chunks: u64,
@@ -131,18 +121,6 @@ impl LogStats {
         self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn on_replay_cache_hit(&self) {
-        self.replay_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn on_replay_cache_miss(&self) {
-        self.replay_cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn on_replay_cache_eviction(&self) {
-        self.replay_cache_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn on_prefetch_chunk(&self) {
         self.prefetch_chunks.fetch_add(1, Ordering::Relaxed);
     }
@@ -192,9 +170,6 @@ impl LogStats {
             readahead_chunks: self.readahead_chunks.load(Ordering::Relaxed),
             append_reservations: self.append_reservations.load(Ordering::Relaxed),
             group_commit_batches: self.group_commit_batches.load(Ordering::Relaxed),
-            replay_cache_hits: self.replay_cache_hits.load(Ordering::Relaxed),
-            replay_cache_misses: self.replay_cache_misses.load(Ordering::Relaxed),
-            replay_cache_evictions: self.replay_cache_evictions.load(Ordering::Relaxed),
             prefetch_chunks: self.prefetch_chunks.load(Ordering::Relaxed),
             flush_tickets_issued: self.flush_tickets_issued.load(Ordering::Relaxed),
             flush_tickets_completed: self.flush_tickets_completed.load(Ordering::Relaxed),
@@ -223,9 +198,6 @@ impl LogStatsSnapshot {
             readahead_chunks: self.readahead_chunks - earlier.readahead_chunks,
             append_reservations: self.append_reservations - earlier.append_reservations,
             group_commit_batches: self.group_commit_batches - earlier.group_commit_batches,
-            replay_cache_hits: self.replay_cache_hits - earlier.replay_cache_hits,
-            replay_cache_misses: self.replay_cache_misses - earlier.replay_cache_misses,
-            replay_cache_evictions: self.replay_cache_evictions - earlier.replay_cache_evictions,
             prefetch_chunks: self.prefetch_chunks - earlier.prefetch_chunks,
             flush_tickets_issued: self.flush_tickets_issued - earlier.flush_tickets_issued,
             flush_tickets_completed: self.flush_tickets_completed - earlier.flush_tickets_completed,
@@ -255,9 +227,6 @@ impl LogStatsSnapshot {
             readahead_chunks: self.readahead_chunks + other.readahead_chunks,
             append_reservations: self.append_reservations + other.append_reservations,
             group_commit_batches: self.group_commit_batches + other.group_commit_batches,
-            replay_cache_hits: self.replay_cache_hits + other.replay_cache_hits,
-            replay_cache_misses: self.replay_cache_misses + other.replay_cache_misses,
-            replay_cache_evictions: self.replay_cache_evictions + other.replay_cache_evictions,
             prefetch_chunks: self.prefetch_chunks + other.prefetch_chunks,
             flush_tickets_issued: self.flush_tickets_issued + other.flush_tickets_issued,
             flush_tickets_completed: self.flush_tickets_completed + other.flush_tickets_completed,
@@ -289,10 +258,6 @@ mod tests {
         s.on_scan_chunk();
         s.on_reservation();
         s.on_group_commit_batch();
-        s.on_replay_cache_hit();
-        s.on_replay_cache_hit();
-        s.on_replay_cache_miss();
-        s.on_replay_cache_eviction();
         s.on_prefetch_chunk();
         s.on_ticket_issued();
         s.on_ticket_issued();
@@ -313,9 +278,6 @@ mod tests {
         assert_eq!(snap.scan_chunks, 1);
         assert_eq!(snap.append_reservations, 1);
         assert_eq!(snap.group_commit_batches, 1);
-        assert_eq!(snap.replay_cache_hits, 2);
-        assert_eq!(snap.replay_cache_misses, 1);
-        assert_eq!(snap.replay_cache_evictions, 1);
         assert_eq!(snap.prefetch_chunks, 1);
         assert_eq!(snap.flush_tickets_issued, 2);
         assert_eq!(snap.flush_tickets_completed, 1);

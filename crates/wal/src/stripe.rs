@@ -48,13 +48,11 @@ use parking_lot::Mutex;
 
 use msp_types::{Encode, Lsn, MspError};
 
-use crate::cache::ReplayCache;
 use crate::disk::Disk;
 use crate::fault::{CrashPoint, FaultPlan};
 use crate::frame::FRAME_HEADER;
 use crate::log::{FlushPolicy, FlushTicket, LogScanner, PhysicalLog, RawScanner, DATA_START};
 use crate::model::DiskModel;
-use crate::pool::BufferPool;
 use crate::record::LogRecord;
 use crate::stats::{LogStats, LogStatsSnapshot};
 
@@ -729,7 +727,7 @@ impl StripedLog {
     }
 
     /// Charge the sequential-read cost for `bytes` of replay-window read
-    /// (cache-less replay path). Charged against stripe 0's arm — the
+    /// (a session replayed without a scan queue). Charged against stripe 0's arm — the
     /// serial-equivalent bound.
     pub fn charge_sequential_read(&self, bytes: u64) {
         self.stripes[0].charge_sequential_read(bytes);
@@ -1036,69 +1034,6 @@ impl Iterator for WalScanner<'_> {
     }
 }
 
-/// Replay cache over either backend. Striped: one [`ReplayCache`] view
-/// per stripe (each covering its stripe's immutable crash-time prefix),
-/// all borrowing slots from one shared [`BufferPool`], with gsn reads
-/// translated to stripe-local frames and unwrapped.
-pub enum WalReplayCache {
-    Single(ReplayCache),
-    Striped {
-        log: Arc<StripedLog>,
-        caches: Vec<ReplayCache>,
-    },
-}
-
-impl WalReplayCache {
-    /// Build a cache of `blocks` 64 KB slots over `wal`'s durable prefix;
-    /// striped stripes share the one pool rather than splitting the
-    /// budget.
-    pub fn new(wal: &Wal, blocks: usize) -> WalReplayCache {
-        WalReplayCache::with_pool(wal, &Arc::new(BufferPool::new(blocks)))
-    }
-
-    /// Views over `wal` borrowing slots from a shared `pool` (one
-    /// registered source per physical log / stripe).
-    pub fn with_pool(wal: &Wal, pool: &Arc<BufferPool>) -> WalReplayCache {
-        match wal {
-            Wal::Single(l) => WalReplayCache::Single(ReplayCache::with_pool(l, pool)),
-            Wal::Striped(s) => WalReplayCache::Striped {
-                log: Arc::clone(s),
-                caches: s
-                    .stripes()
-                    .iter()
-                    .map(|l| ReplayCache::with_pool(l, pool))
-                    .collect(),
-            },
-        }
-    }
-
-    /// The shared pool behind this cache's views.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        match self {
-            WalReplayCache::Single(c) => c.pool(),
-            WalReplayCache::Striped { caches, .. } => caches[0].pool(),
-        }
-    }
-
-    /// Read and decode the record at `lsn`, plus its framed size in the
-    /// log's address space.
-    pub fn read_record_sized(&self, lsn: Lsn) -> Result<(LogRecord, u64), MspError> {
-        match self {
-            WalReplayCache::Single(c) => c.read_record_sized(lsn),
-            WalReplayCache::Striped { log, caches } => {
-                let (stripe, local) = log.locate(lsn.0)?;
-                let (rec, framed) = caches[stripe].read_record_sized(Lsn(local))?;
-                Ok((unwrap_striped(rec, lsn.0)?, framed))
-            }
-        }
-    }
-
-    /// Read and decode the record at `lsn`.
-    pub fn read_record(&self, lsn: Lsn) -> Result<LogRecord, MspError> {
-        self.read_record_sized(lsn).map(|(rec, _)| rec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1323,27 +1258,6 @@ mod tests {
         assert_eq!(per[0].appends, 1);
         assert_eq!(per[1].appends, 1);
         log.close();
-    }
-
-    #[test]
-    fn replay_cache_translates_gsns() {
-        let disks = mem_disks(2);
-        let mut lsns = Vec::new();
-        {
-            let log = open_striped(&disks);
-            for i in 0..16 {
-                lsns.push(log.append(&rec(i, i)));
-            }
-            log.close();
-        }
-        let wal = Wal::Striped(open_striped(&disks));
-        let cache = WalReplayCache::new(&wal, 8);
-        for (i, lsn) in lsns.iter().enumerate() {
-            let (got, framed) = cache.read_record_sized(*lsn).unwrap();
-            assert_eq!(got, rec(i as u64, i as u64));
-            assert!(framed > 0);
-        }
-        wal.close();
     }
 
     fn total_footprint(disks: &[MemDisk]) -> u64 {

@@ -1,10 +1,10 @@
 //! Scan-once crash recovery must be invisible except in speed: replaying
-//! each session from the records the analysis scan retained — and only
-//! the tail of an over-long window through the replay buffer pool — has
-//! to land byte-for-byte on the state `serial_recovery` reaches by
-//! re-reading the log. The queue travels with the session, so it is
-//! consumed exactly once whichever thread recovers the session, and a
-//! session recovered again later (its queue long gone) reads the log.
+//! each session from the records the analysis scan retained — its whole
+//! window, however long — has to land byte-for-byte on the state
+//! `serial_recovery` reaches by re-reading the log. The queue travels
+//! with the session, so it is consumed exactly once whichever thread
+//! recovers the session, and a session recovered again later (its queue
+//! long gone) reads the log.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -17,10 +17,9 @@ use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig, MspHan
 use msp_harness::await_recovery;
 use msp_net::{NetModel, Network};
 use msp_types::{DomainId, Epoch, Lsn, MspId, SessionId};
-use msp_wal::log::SCAN_CHUNK;
+use msp_wal::stats::LogStatsSnapshot;
 use msp_wal::{
     CrashPoint, Disk, DiskModel, FaultPlan, FlushPolicy, LogRecord, MemDisk, PhysicalLog,
-    PoolStatsSnapshot,
 };
 
 const M1: MspId = MspId(1);
@@ -183,27 +182,23 @@ type Recovered = (Vec<(SessionId, Vec<u8>)>, Vec<Vec<u8>>, Epoch);
 fn recover(
     image: &[Vec<u8>],
     cfg: MspConfig,
-) -> (Recovered, RuntimeStatsSnapshot, PoolStatsSnapshot) {
+) -> (Recovered, RuntimeStatsSnapshot, LogStatsSnapshot) {
     let net: Network<Envelope> = Network::new(NetModel::zero(), 50);
     let handle = start_solo(&net, &restored(image), cfg, None);
-    await_recovery(&handle, Duration::from_secs(60), "buffer_pool");
+    await_recovery(&handle, Duration::from_secs(60), "scan_once");
     let state = (handle.dump_sessions(), handle.dump_shared(), handle.epoch());
-    let out = (state, handle.stats(), handle.pool_stats());
+    let out = (state, handle.stats(), handle.log_stats().unwrap());
     handle.shutdown();
     net.shutdown();
     out
 }
 
-/// Under the cap the whole replay comes from the queues: identical to
-/// serial on an image that fits the pool and on one three times a
-/// (one-block) pool, plain and striped — and the pool is never read.
+/// The whole replay comes from the queues: identical to serial, plain
+/// and striped, and no record is read back from the log.
 #[test]
-fn queue_fed_recovery_matches_serial_below_and_above_the_pool() {
+fn queue_fed_recovery_matches_serial_plain_and_striped() {
     for stripes in [0, 2] {
         let image = crash_image(stripes, &[12; 32], 512);
-        let bytes: usize = image.iter().map(Vec::len).sum();
-        assert!(bytes >= 3 * SCAN_CHUNK, "image is only {bytes} B");
-
         let (serial, serial_stats, _) =
             recover(&image, solo_cfg(stripes).with_serial_recovery(true));
         assert_eq!(serial.0.len(), 32, "all 32 sessions recovered");
@@ -212,65 +207,72 @@ fn queue_fed_recovery_matches_serial_below_and_above_the_pool() {
             "the oracle re-reads"
         );
 
-        // 64 blocks hold the image; 1 block is a third of it or less.
-        for blocks in [64, 1] {
-            let cfg = solo_cfg(stripes)
-                .with_recovery_threads(8)
-                .with_replay_cache_blocks(blocks);
-            let (got, stats, pool) = recover(&image, cfg);
-            assert_eq!(got, serial, "stripes={stripes} blocks={blocks} diverged");
-            assert_eq!(stats.recovery_pool_sessions, 32);
-            assert_eq!(stats.recovery_pool_failures, 0);
-            assert!(stats.recovery_retained_bytes > 0);
-            assert_eq!(stats.recovery_overflow_records, 0);
-            assert_eq!(
-                pool.pool_hits + pool.pool_misses,
-                0,
-                "stripes={stripes} blocks={blocks}: replay read the log again"
-            );
-        }
+        let (got, stats, log) = recover(&image, solo_cfg(stripes).with_recovery_threads(8));
+        assert_eq!(got, serial, "stripes={stripes} diverged");
+        assert_eq!(stats.recovery_pool_sessions, 32);
+        assert_eq!(stats.recovery_pool_failures, 0);
+        assert!(stats.recovery_retained_bytes > 0);
+        assert_eq!(
+            log.record_reads, 0,
+            "stripes={stripes}: replay read the log again"
+        );
     }
 }
 
-/// A window longer than the cap (threshold set small, checkpoints off):
-/// the prefix comes from the queue, the tail through a one-block pool,
-/// and the state is still the serial one.
+/// Framed bytes of every session-stream record in a one-disk image: the
+/// replay windows of a log with no session checkpoint.
+fn stream_bytes(image: &[u8]) -> u64 {
+    let disk = Arc::new(MemDisk::new());
+    disk.write(0, image).unwrap();
+    let log = PhysicalLog::open(disk, DiskModel::zero(), FlushPolicy::immediate()).unwrap();
+    let mut scan = log.scan_from(Lsn(0));
+    let mut bytes = 0;
+    while let Some(item) = scan.next() {
+        let (lsn, record) = item.unwrap();
+        if matches!(
+            record,
+            LogRecord::RequestReceive { .. }
+                | LogRecord::ReplyReceive { .. }
+                | LogRecord::SharedRead { .. }
+                | LogRecord::SharedWrite { .. }
+                | LogRecord::OutgoingBind { .. }
+                | LogRecord::Eos { .. }
+        ) {
+            bytes += scan.position().0 - lsn.0;
+        }
+    }
+    drop(scan);
+    log.close();
+    bytes
+}
+
+/// A window far longer than the session checkpoint threshold (1 KB,
+/// checkpoints off) is held whole by its queue, and the state is still
+/// the serial one.
 #[test]
-fn over_cap_window_reads_only_its_tail_through_the_pool() {
+fn window_past_the_checkpoint_threshold_is_held_whole() {
     let image = crash_image(0, &[10; 16], 200);
-    let small_cap = |cfg: MspConfig| {
+    let small_threshold = |cfg: MspConfig| {
         cfg.with_logging(LoggingConfig {
             checkpoints_enabled: false,
             session_ckpt_threshold: 1024,
             ..LoggingConfig::default()
         })
     };
-    let (serial, _, _) = recover(&image, small_cap(solo_cfg(0).with_serial_recovery(true)));
+    let (serial, _, _) = recover(
+        &image,
+        small_threshold(solo_cfg(0).with_serial_recovery(true)),
+    );
 
-    let cfg = small_cap(
-        solo_cfg(0)
-            .with_recovery_threads(8)
-            .with_replay_cache_blocks(1),
+    let cfg = small_threshold(solo_cfg(0).with_recovery_threads(8));
+    let (got, stats, _) = recover(&image, cfg);
+    assert_eq!(got, serial, "recovery diverged from serial");
+    assert_eq!(
+        stats.recovery_retained_bytes,
+        stream_bytes(&image[0]),
+        "the queues hold every window whole"
     );
-    let (got, stats, pool) = recover(&image, cfg);
-    assert_eq!(got, serial, "over-cap recovery diverged from serial");
     assert_eq!(stats.recovery_pool_failures, 0);
-    assert!(stats.recovery_retained_bytes > 0, "no prefix retained");
-    assert!(
-        stats.recovery_retained_bytes <= 16 * 1024,
-        "retained {} B over 16 sessions with a 1 KB cap",
-        stats.recovery_retained_bytes
-    );
-    assert!(stats.recovery_overflow_records > 0, "no window went over");
-    // A record read is a header and a payload read, each at most two
-    // blocks: the pool saw the tail records and nothing else.
-    let reads = pool.pool_hits + pool.pool_misses;
-    assert!(reads > 0, "the tail never reached the pool");
-    assert!(
-        reads <= 4 * stats.recovery_overflow_records,
-        "{reads} pool reads for {} tail records",
-        stats.recovery_overflow_records
-    );
 }
 
 /// While the (single-threaded) recovery pool is held inside its first
@@ -317,8 +319,11 @@ fn inline_recovery_racing_the_pool_takes_each_queue_once() {
     let logged: u64 = calls.iter().sum();
     assert_eq!(done.replayed_requests, logged, "each request replayed once");
     assert_eq!(u64_le(&handle.dump_shared()[0]), logged + 6);
-    let pool = handle.pool_stats();
-    assert_eq!(pool.pool_hits + pool.pool_misses, 0, "all from the queues");
+    assert_eq!(
+        handle.log_stats().unwrap().record_reads,
+        0,
+        "all from the queues"
+    );
     handle.shutdown();
     net.shutdown();
 }
@@ -469,8 +474,7 @@ fn relay(c: &mut MspClient) -> (u64, u64) {
 /// The back MSP crash-recovers from its queues and is held mid-replay;
 /// then the front's crash turns one of the back's *already recovered*
 /// sessions into an orphan. Its second recovery finds no queue, reads the
-/// log through the replay pool, and the session still continues
-/// exactly-once.
+/// log, and the session still continues exactly-once.
 #[test]
 fn session_recovered_again_after_a_peer_crash_reads_the_log() {
     let net: Network<Envelope> = Network::new(NetModel::zero(), 53);
@@ -516,10 +520,9 @@ fn session_recovered_again_after_a_peer_crash_reads_the_log() {
     wait_until("the back's other sessions to be replayed", || {
         back.stats().recovery_pool_sessions == 4
     });
-    let before = (back.stats(), back.pool_stats());
-    assert_eq!(before.0.orphan_recoveries, 5);
+    assert_eq!(back.stats().orphan_recoveries, 5);
     assert_eq!(
-        before.1.pool_hits + before.1.pool_misses,
+        back.log_stats().unwrap().record_reads,
         0,
         "the first recovery came from the queues"
     );
@@ -531,9 +534,8 @@ fn session_recovered_again_after_a_peer_crash_reads_the_log() {
     wait_until("the orphaned back session to be recovered again", || {
         back.stats().orphan_recoveries >= 6
     });
-    let again = back.pool_stats();
     assert!(
-        again.pool_hits + again.pool_misses > 0,
+        back.log_stats().unwrap().record_reads > 0,
         "the second recovery had no queue and must read the log"
     );
     assert!(!back.recovery_complete(), "the pool is still held");
