@@ -12,10 +12,11 @@
 //! * [`crashes`] — the §5.4 fault injector: MSP2 is instructed to kill
 //!   itself right after its reply is consumed, so its buffered log
 //!   records are lost and session SE1 at MSP1 becomes an orphan.
-//! * [`torture`] — the seed-driven crash-storm rig: reproducible fault
-//!   schedules (crash points, lossy links, multi-crashes including
-//!   crash-during-recovery) with an exactly-once oracle and a
-//!   post-mortem log audit.
+//! * [`torture`] — the crash torture rig: seed-generated crash storms
+//!   (crash points, lossy links, multi-crashes including
+//!   crash-during-recovery) or fixed-cadence long runs, judged by a pure
+//!   exactly-once check over the clients' history and a post-mortem log
+//!   audit.
 //! * [`metrics`] — response-time series and throughput accounting.
 //! * [`experiments`] — one driver per table and figure (E1–E7 in
 //!   `DESIGN.md`) plus the ablations.
@@ -29,7 +30,7 @@ pub mod world;
 
 pub use metrics::{await_recovery, RecoveryPhases, Series, Summary};
 pub use torture::{
-    run_torture, run_torture_long_run, LongRunOptions, LongRunReport, Schedule, TortureFailure,
-    TortureOptions, TortureReport, WorkloadShape,
+    Cadence, CrashPlan, Schedule, Storm, TortureFailure, TortureOptions, TortureReport,
+    WorkloadShape,
 };
 pub use world::{FlushMode, SystemConfig, World, WorldOptions};

@@ -1,45 +1,47 @@
-//! Seed-driven crash-storm torture rig with an exactly-once oracle.
+//! Crash torture: one run loop, two crash plans, and a pure exactly-once
+//! check over what the clients recorded.
 //!
-//! The rig replaces the single scripted kill-point of [`crate::crashes`]
-//! with randomized but fully reproducible fault schedules: every choice —
-//! client count, per-request `m`, lossy links, which MSP dies, at which
-//! [`CrashPoint`], after how many site traversals, and whether the
-//! *restart* is crashed again mid-recovery (§4.5 multi-crash) — is drawn
-//! from the vendored `rand` shim seeded with one `u64`. No wall clock, no
-//! global randomness: a failing run replays from its seed, and every
-//! failure message embeds that seed.
+//! [`run`] drives concurrent clients against `MSP1.ServiceMethod1` while
+//! a controller crashes the MSPs by the run's [`CrashPlan`]:
 //!
-//! One run ([`run_torture`]) drives 8–32 concurrent clients, each issuing
-//! requests with `m ∈ 1..=4`, through one of the five §5.2
-//! [`SystemConfig`]s while a controller walks the schedule's crash
-//! events. The oracle has three layers:
+//! * [`CrashPlan::Seeded`] — the crash storm. [`Schedule::generate`] draws
+//!   every choice (clients, per-request `m`, lossy links, session churn,
+//!   which MSP dies at which [`CrashPoint`] after how many traversals, and
+//!   whether its restart is crashed again mid-recovery, §4.5) from one
+//!   seed, so a failing storm replays from its seed, which every failure
+//!   message names.
+//! * [`CrashPlan::Cadence`] — the bounded-log long run: continuous
+//!   clients, byte-driven checkpoints, MSP1 killed at a fixed interval,
+//!   and a monitor sampling each MSP's on-disk footprint. It adds the
+//!   footprint cap, flat MTTR, at least one truncation, an advanced
+//!   reclaim floor and no forced-checkpoint convoy to the verdict.
 //!
-//! 1. **Per-client ledger** — every reply must carry the session counter
-//!    `k` equal to the request's 1-based index: a lost execution or a
-//!    duplicate shifts `k` and is caught at the exact request.
-//! 2. **Shared-state model** — after the storm settles (clients done,
-//!    `recovery_complete()` drained on both MSPs) SV0/SV1 at MSP1 must
-//!    equal the total request count and SV2/SV3 at MSP2 the total number
-//!    of `ServiceMethod2` calls: each request executed *exactly once*
-//!    against shared state too.
-//! 3. **Post-mortem log audit** ([`audit_log`]) — the final on-disk log
-//!    of each log-based MSP is re-opened and structurally verified:
-//!    monotone LSNs, every frame decodes, recovery epochs strictly
-//!    increase, every EOS fences an orphan record of its own session
-//!    *behind* it, and no frame exists past the scan end (the bytes
-//!    beyond the durable stream must be unwritten).
+//! Then the clients settle (or the run fails, see
+//! [`TortureOptions::settle_timeout`]), recovery and the durability gates
+//! drain, and [`check`] judges the recorded [`History`]: every client's
+//! session counters count 1, 2, 3… from each churn point; under `Seeded`
+//! the acked totals equal the schedule's; SV0/SV1 equal the acked
+//! requests and SV2/SV3 their Σm, so no effect is lost or applied twice;
+//! no session failed to replay; both gate gauges are 0. Last, each
+//! log-based MSP's final log is audited ([`audit_log`],
+//! [`audit_striped_log`]): monotone LSNs, every frame decodes, recovery
+//! epochs increase, every EOS fences an orphan of its own session behind
+//! it, zeros below the reclaim floor and no frame past the scan end.
 //!
-//! Crash events only target the log-based configurations — the §5.2
-//! baselines have no recovery story for a killed MSP, so they get the
-//! message-fault dimension (drops/duplicates) and the same oracle.
+//! Crash events only target log-based configurations: the §5.2 baselines
+//! have no recovery story for a killed MSP, so a storm gives them lossy
+//! links and the same check, and a long run refuses them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use msp_core::MspClient;
+use msp_net::EndpointId;
 use msp_types::codec::Encode;
 use msp_types::Lsn;
 use msp_wal::log::DATA_START;
@@ -48,11 +50,10 @@ use msp_wal::{
 };
 
 use crate::workload::{reply_counter, request_payload, MSP1};
-use crate::world::{FlushMode, SystemConfig, World, WorldOptions};
+use crate::world::{SystemConfig, World, WorldOptions};
 
-/// Traffic shape a storm drives through the workload. Each shape keeps
-/// the three oracle layers intact — it only changes *where* the pressure
-/// lands.
+/// Traffic shape a storm drives through the workload. Every shape is
+/// judged the same way — it only changes *where* the pressure lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadShape {
     /// The original mix: `m ∈ 1..=4`, every client keeps one session for
@@ -112,32 +113,115 @@ impl WorkloadShape {
 }
 
 /// Tuning of one torture run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TortureOptions {
     /// The seed every schedule decision derives from.
     pub seed: u64,
     pub config: SystemConfig,
-    /// Traffic shape; part of the schedule's identity (a seed reproduces
-    /// a run only together with its shape).
-    pub shape: WorkloadShape,
-    /// Requests each client issues (sequentially, on one session).
-    pub requests_per_client: u64,
-    /// Crash events the controller walks (log-based configs only).
-    pub crash_events: usize,
-    /// Wall-clock bound on the whole storm; blowing it panics with the
-    /// seed rather than hanging CI forever.
+    pub plan: CrashPlan,
+    /// How long the clients get to finish once the crash plan has run.
+    /// When it runs out, one rescue pass restarts any MSP that is down
+    /// and allows up to [`DRAIN_WAIT`] more. When that runs out too, or
+    /// as soon as no client has had a reply for [`DRAIN_WAIT`] while one
+    /// still has work, every client is cut off the network (its pending
+    /// call returns `Shutdown`) and the run fails with the seed, each
+    /// client's acked count and the names of the process's live threads.
     pub settle_timeout: Duration,
 }
 
 impl TortureOptions {
-    pub fn new(seed: u64, config: SystemConfig) -> TortureOptions {
+    /// `plan` with its settle timeout: 120 s for a storm, 240 s for a
+    /// long run.
+    pub fn new(seed: u64, config: SystemConfig, plan: CrashPlan) -> TortureOptions {
+        let secs = match plan {
+            CrashPlan::Seeded(_) => 120,
+            CrashPlan::Cadence(_) => 240,
+        };
         TortureOptions {
             seed,
             config,
+            plan,
+            settle_timeout: Duration::from_secs(secs),
+        }
+    }
+
+    /// The run's shape in reports: the storm's [`WorkloadShape`], or
+    /// `cadence` / `cadence-striped`.
+    pub fn shape_name(&self) -> &'static str {
+        match &self.plan {
+            CrashPlan::Seeded(storm) => storm.shape.name(),
+            CrashPlan::Cadence(c) if c.striped => "cadence-striped",
+            CrashPlan::Cadence(_) => "cadence",
+        }
+    }
+}
+
+/// How a run crashes its MSPs.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CrashPlan {
+    /// The crash storm: a seed-generated [`Schedule`] of crash events
+    /// against fixed per-client request lists.
+    Seeded(Storm),
+    /// The bounded-log long run: fixed-interval MSP1 kills against
+    /// continuous clients.
+    Cadence(Cadence),
+}
+
+/// The [`CrashPlan::Seeded`] parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Storm {
+    /// Traffic shape; part of the schedule's identity (a seed reproduces
+    /// a storm only together with its shape).
+    pub shape: WorkloadShape,
+    /// Requests each client issues, one after another.
+    pub requests_per_client: u64,
+    /// Crash events the controller walks (log-based configs only).
+    pub crash_events: usize,
+}
+
+impl Default for Storm {
+    fn default() -> Storm {
+        Storm {
             shape: WorkloadShape::Default,
             requests_per_client: 10,
             crash_events: 3,
-            settle_timeout: Duration::from_secs(120),
+        }
+    }
+}
+
+/// The [`CrashPlan::Cadence`] parameters.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cadence {
+    /// Run the scale-out shape: WAL striped over two disks, runtime
+    /// sharded two ways (the merged-gsn truncation path).
+    pub striped: bool,
+    /// Concurrent clients. Each issues requests until the crash sequence
+    /// has finished *and* it has issued at least
+    /// `min_requests_per_client`.
+    pub clients: u64,
+    pub min_requests_per_client: u64,
+    /// Fixed-cadence MSP1 kills the controller performs.
+    pub crashes: u32,
+    /// Traffic time between kills.
+    pub crash_interval: Duration,
+    /// Per-MSP on-disk footprint bound ([`crate::world::MspSlot::footprint`],
+    /// sampled continuously); `0` disables the check.
+    pub footprint_cap: u64,
+    /// Byte-growth checkpoint trigger handed to the world — the knob the
+    /// long run exists to exercise.
+    pub checkpoint_interval_bytes: u64,
+}
+
+impl Default for Cadence {
+    fn default() -> Cadence {
+        Cadence {
+            striped: false,
+            clients: 6,
+            min_requests_per_client: 100,
+            crashes: 8,
+            crash_interval: Duration::from_millis(200),
+            footprint_cap: 4 << 20,
+            checkpoint_interval_bytes: 256 << 10,
         }
     }
 }
@@ -152,16 +236,6 @@ pub struct CrashEvent {
     pub point: CrashPoint,
     pub countdown: u64,
     pub during_recovery: Option<(CrashPoint, u64)>,
-}
-
-impl CrashEvent {
-    fn target_name(&self) -> &'static str {
-        if self.target_msp2 {
-            "MSP2"
-        } else {
-            "MSP1"
-        }
-    }
 }
 
 /// Everything a seed decides, materialized up front so the run itself
@@ -203,11 +277,11 @@ const RECOVERY_POINTS: [CrashPoint; 3] = [
 ];
 
 impl Schedule {
-    /// Derive the full schedule for `opts.seed`. The sampling order is
+    /// Derive the full schedule for `seed`. The sampling order is
     /// part of the reproducibility contract — append new decisions at
     /// the end, never in the middle.
-    pub fn generate(opts: &TortureOptions) -> Schedule {
-        let mut rng = StdRng::seed_from_u64(opts.seed);
+    pub fn generate(seed: u64, config: SystemConfig, storm: &Storm) -> Schedule {
+        let mut rng = StdRng::seed_from_u64(seed);
         let clients = rng.random_range(8..33);
         let mut link_faults = Vec::with_capacity(clients as usize);
         let mut ms = Vec::with_capacity(clients as usize);
@@ -223,8 +297,8 @@ impl Schedule {
             // keeps each (seed, shape) pair deterministic — and the
             // Default stream is bit-identical to the pre-shape rig.
             ms.push(
-                (0..opts.requests_per_client)
-                    .map(|_| match opts.shape {
+                (0..storm.requests_per_client)
+                    .map(|_| match storm.shape {
                         WorkloadShape::SharedHeavy => 3 + rng.random_range(0..2) as u8,
                         WorkloadShape::DeepChain => {
                             // Fixed m = 4; still consume one draw so the
@@ -238,8 +312,8 @@ impl Schedule {
             );
         }
         let mut events = Vec::new();
-        if opts.config.is_log_based() {
-            for e in 0..opts.crash_events {
+        if config.is_log_based() {
+            for e in 0..storm.crash_events {
                 let target_msp2 = rng.random_bool(0.6);
                 let point = LIVE_POINTS[rng.random_range(0..3) as usize];
                 let countdown = 1 + rng.random_range(0..40);
@@ -265,18 +339,18 @@ impl Schedule {
         // Appended after everything else (the reproducibility contract):
         // session-churn points, drawn only under the churn shapes.
         let churn_after: Vec<Vec<bool>> = if matches!(
-            opts.shape,
+            storm.shape,
             WorkloadShape::SessionChurn | WorkloadShape::StripedChurn
         ) {
             (0..clients)
                 .map(|_| {
-                    (0..opts.requests_per_client)
+                    (0..storm.requests_per_client)
                         .map(|_| rng.random_bool(0.25))
                         .collect()
                 })
                 .collect()
         } else {
-            vec![vec![false; opts.requests_per_client as usize]; clients as usize]
+            vec![vec![false; storm.requests_per_client as usize]; clients as usize]
         };
         // Appended after the churn draws (same append-only contract):
         // under DeepChain, retarget ~half the crash events onto the PR-6
@@ -284,12 +358,12 @@ impl Schedule {
         // plan would never fire: pipelined sends gate on MSP1 across the
         // pessimistic boundary; flush serving runs on MSP2 for
         // LoOptimistic reply gates.
-        if opts.shape == WorkloadShape::DeepChain {
+        if storm.shape == WorkloadShape::DeepChain {
             for ev in &mut events {
                 if !rng.random_bool(0.5) {
                     continue;
                 }
-                match opts.config {
+                match config {
                     SystemConfig::Pessimistic if !ev.target_msp2 => {
                         ev.point = CrashPoint::SendGateIssue;
                     }
@@ -301,8 +375,8 @@ impl Schedule {
             }
         }
         Schedule {
-            seed: opts.seed,
-            shape: opts.shape,
+            seed,
+            shape: storm.shape,
             clients,
             link_faults,
             ms,
@@ -348,697 +422,36 @@ pub struct LogAudit {
 pub struct TortureReport {
     pub seed: u64,
     pub config: SystemConfig,
-    pub shape: WorkloadShape,
+    /// [`TortureOptions::shape_name`].
+    pub shape: &'static str,
     pub clients: u64,
+    /// Requests acked across all clients, and their Σm.
     pub requests: u64,
     pub msp2_calls: u64,
-    /// Total MSP kills (including restart attempts that failed because a
-    /// fault fired during startup recovery).
+    /// MSP kills: crash points that fired (`Seeded`) or MSP1 restarts
+    /// (`Cadence`).
     pub crashes: u64,
-    /// Crash points that actually fired, in order, with their target.
+    /// `Seeded`: the crash points that fired, in order, with their target.
     pub fired: Vec<(&'static str, CrashPoint)>,
     /// Crashes that hit a *prior recovery* (the §4.5 dimension).
     pub recovery_crashes: u64,
-    /// Scheduled during-recovery follow-ups (≥1 on log-based configs).
+    /// Scheduled during-recovery follow-ups (≥1 on log-based storms).
     pub scheduled_recovery_events: u64,
-    /// Events skipped because the storm's traffic ended first.
-    pub skipped_events: u64,
-    /// Device truncations across both MSPs (per-stripe ops on striped
-    /// worlds), summed from the final incarnations' log stats.
+    /// `Cadence`: per-crash repair time, kill → `recovery_complete`.
+    pub mttr: Vec<Duration>,
+    /// `Cadence`: the highest per-MSP footprint any sample saw.
+    pub peak_footprint: u64,
+    /// Device truncations, bytes they recycled, and byte-growth-triggered
+    /// checkpoints, summed over the final incarnations of both MSPs (each
+    /// rebuild starts fresh counters).
     pub truncations: u64,
-    /// Log bytes recycled across both MSPs.
     pub bytes_reclaimed: u64,
-    /// Byte-growth-triggered checkpoints across both MSPs (timer-driven
-    /// ones are not counted here).
     pub checkpoints_scheduled: u64,
-    /// Sessions the final incarnations' recovery pools could not replay
-    /// from the log. Those incarnations recovered with no fault armed
-    /// (every injected crash ends in a kill and a clean restart), so the
-    /// oracle fails the run when this is non-zero.
-    pub recovery_pool_failures: u64,
-    /// Log bytes the final incarnations' analysis scans retained in
-    /// per-session replay queues.
-    pub recovery_retained_bytes: u64,
-    /// The forced-checkpoint scheduler of both MSPs' final incarnations:
-    /// batches (ticks that held at least one session), sessions
-    /// checkpointed, picks skipped because the session was busy.
-    pub forced_ckpts: ForcedCkptStats,
     /// Post-mortem audits (MSP1 then MSP2) on log-based configs.
     pub audits: Vec<LogAudit>,
 }
 
-/// Forced-checkpoint scheduler counters, summed over MSPs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ForcedCkptStats {
-    pub batches: u64,
-    pub sessions: u64,
-    pub skipped_busy: u64,
-}
-
-impl ForcedCkptStats {
-    fn add(&mut self, st: &msp_core::runtime::RuntimeStatsSnapshot) {
-        self.batches += st.forced_ckpt_batches;
-        self.sessions += st.forced_ckpt_sessions;
-        self.skipped_busy += st.forced_ckpt_skipped_busy;
-    }
-}
-
-impl std::fmt::Display for ForcedCkptStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "forced_ckpts={}s/{}b/{}busy",
-            self.sessions, self.batches, self.skipped_busy
-        )
-    }
-}
-
-impl std::fmt::Display for TortureReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "seed={:<4} config={:<12} shape={:<13} clients={:<2} requests={:<4} m2_calls={:<4} \
-             crashes={} (during-recovery {}) fired=[{}] audit=[{}]",
-            self.seed,
-            self.config.name(),
-            self.shape.name(),
-            self.clients,
-            self.requests,
-            self.msp2_calls,
-            self.crashes,
-            self.recovery_crashes,
-            self.fired
-                .iter()
-                .map(|(who, p)| format!("{who}:{}", p.name()))
-                .collect::<Vec<_>>()
-                .join(" "),
-            self.audits
-                .iter()
-                .map(|a| format!(
-                    "{}rec/{}eos/{}rc/floor{}",
-                    a.records, a.eos_records, a.recovery_completes, a.reclaim_floor
-                ))
-                .collect::<Vec<_>>()
-                .join(" "),
-        )?;
-        if self.truncations > 0 {
-            write!(
-                f,
-                " trunc={} reclaimed={}B byte_ckpts={}",
-                self.truncations, self.bytes_reclaimed, self.checkpoints_scheduled
-            )?;
-        }
-        if self.recovery_retained_bytes > 0 {
-            write!(f, " replay_queue={}B", self.recovery_retained_bytes)?;
-        }
-        if self.forced_ckpts.batches + self.forced_ckpts.skipped_busy > 0 {
-            write!(f, " {}", self.forced_ckpts)?;
-        }
-        Ok(())
-    }
-}
-
-/// How long the controller waits for an armed plan to fire before giving
-/// up on the event (traffic may have drained first).
-const FIRE_WAIT: Duration = Duration::from_secs(5);
-/// How long a during-recovery follow-up gets to hit the restart.
-const RECOVERY_FIRE_WAIT: Duration = Duration::from_secs(5);
-/// Recovery-drain bound after the storm.
-const DRAIN_WAIT: Duration = Duration::from_secs(30);
-
-/// Each MSP's first replay failure (session and error), for the "could
-/// not be replayed" verdicts.
-fn first_replay_failures(world: &World) -> String {
-    [("MSP1", &world.msp1), ("MSP2", &world.msp2)]
-        .into_iter()
-        .filter_map(|(who, slot)| {
-            let (session, err) = slot.first_replay_failure()?;
-            Some(format!("{who} session {}: {err}", session.0))
-        })
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
-fn le_counter(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte counter"))
-}
-
-/// A failed storm: the verdict, and the crashes the storm injected
-/// before it was reached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TortureFailure {
-    /// Always embeds the reproducing seed and configuration.
-    pub message: String,
-    /// Crash points that fired, as [`TortureReport::crashes`] counts them.
-    pub crashes: u64,
-    /// Of those, the ones that fired during a prior recovery.
-    pub recovery_crashes: u64,
-}
-
-impl std::fmt::Display for TortureFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-/// Run one torture storm.
-pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport, TortureFailure> {
-    let mut tally = (0, 0);
-    run_storm(opts, &mut tally).map_err(|message| TortureFailure {
-        message,
-        crashes: tally.0,
-        recovery_crashes: tally.1,
-    })
-}
-
-/// [`run_torture`]'s body; `tally` receives the crashes fired and those
-/// fired during a recovery once the storm has settled, before any verdict.
-fn run_storm(opts: &TortureOptions, tally: &mut (u64, u64)) -> Result<TortureReport, String> {
-    let sched = Schedule::generate(opts);
-    let tag = format!(
-        "torture seed={} config={} shape={}",
-        opts.seed,
-        opts.config.name(),
-        opts.shape.name()
-    );
-
-    let world = World::start(WorldOptions {
-        config: opts.config,
-        time_scale: 0.0,
-        // Small threshold so session checkpoints (and hence the
-        // CheckpointWrite site) are hot even in a short storm.
-        session_ckpt_threshold: 4096,
-        checkpoints_enabled: true,
-        flush_mode: FlushMode::PerRequest,
-        workers: 4,
-        seed: opts.seed,
-        crash_every: 0,
-        db_txn_overhead: Duration::ZERO,
-        // The striped shape runs the scale-out configuration: WAL over
-        // two stripes, runtime over two shards.
-        log_stripes: if opts.shape == WorkloadShape::StripedChurn {
-            2
-        } else {
-            0
-        },
-        runtime_shards: if opts.shape == WorkloadShape::StripedChurn {
-            2
-        } else {
-            1
-        },
-        // The storm's checkpoints stay timer-driven; byte-driven
-        // truncation pressure is the long-run tier's job
-        // ([`run_torture_long_run`]).
-        checkpoint_interval_bytes: 0,
-    });
-
-    let (res_tx, res_rx) = crossbeam_channel::unbounded::<Result<u64, String>>();
-    let done = AtomicU64::new(0);
-    let mut fired: Vec<(&'static str, CrashPoint)> = Vec::new();
-    let mut recovery_crashes = 0u64;
-    let mut skipped_events = 0u64;
-    let mut results: Vec<Result<u64, String>> = Vec::with_capacity(sched.clients as usize);
-
-    std::thread::scope(|s| {
-        // ---- clients ------------------------------------------------ //
-        for c in 0..sched.clients {
-            let ms = sched.ms[c as usize].clone();
-            let churn = sched.churn_after[c as usize].clone();
-            let fault = sched.link_faults[c as usize];
-            let tx = res_tx.clone();
-            let (world, done, tag) = (&world, &done, &tag);
-            s.spawn(move || {
-                let id = 10_000 + c;
-                let mut client = match fault {
-                    Some((dp, pp)) => world.faulty_client(id, dp, pp),
-                    None => world.client(id),
-                };
-                let mut calls = 0u64;
-                // The session counter `k` is per-session state, so the
-                // ledger expectation resets at every churn point.
-                let mut expect = 0u64;
-                let mut verdict = Ok(());
-                for (i, &m) in ms.iter().enumerate() {
-                    match client.call(MSP1, "ServiceMethod1", &request_payload(m)) {
-                        Ok(reply) => {
-                            expect += 1;
-                            let k = reply_counter(&reply);
-                            if k != expect {
-                                verdict = Err(format!(
-                                    "{tag}: client {c} request {} saw session counter {k}, \
-                                     want {expect} (lost or duplicated execution)",
-                                    i + 1,
-                                ));
-                                break;
-                            }
-                            calls += m as u64;
-                        }
-                        Err(e) => {
-                            verdict =
-                                Err(format!("{tag}: client {c} request {} failed: {e}", i + 1));
-                            break;
-                        }
-                    }
-                    if churn[i] {
-                        if let Err(e) = client.end_session(MSP1) {
-                            verdict = Err(format!(
-                                "{tag}: client {c} end_session after request {} failed: {e}",
-                                i + 1
-                            ));
-                            break;
-                        }
-                        expect = 0;
-                    }
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-                let _ = tx.send(verdict.map(|()| calls));
-            });
-        }
-        drop(res_tx);
-
-        // ---- crash controller --------------------------------------- //
-        let trace = std::env::var_os("TORTURE_TRACE").is_some();
-        for ev in &sched.events {
-            if trace {
-                eprintln!(
-                    "[trace] event {:?} done={}/{}",
-                    ev,
-                    done.load(Ordering::SeqCst),
-                    sched.clients
-                );
-            }
-            if done.load(Ordering::SeqCst) == sched.clients {
-                skipped_events += 1;
-                continue;
-            }
-            let slot = if ev.target_msp2 {
-                &world.msp2
-            } else {
-                &world.msp1
-            };
-            let plan = Arc::new(FaultPlan::new());
-            plan.arm(ev.point, ev.countdown);
-            let (ftx, frx) = crossbeam_channel::bounded(1);
-            plan.set_notify(ftx);
-            slot.set_fault_plan(Some(Arc::clone(&plan)));
-
-            let deadline = Instant::now() + FIRE_WAIT;
-            let fired_point = loop {
-                match frx.recv_timeout(Duration::from_millis(20)) {
-                    Ok(pt) => break Some(pt),
-                    Err(_) => {
-                        if done.load(Ordering::SeqCst) == sched.clients
-                            || Instant::now() >= deadline
-                        {
-                            // Disarm, then re-check: a fire can race the
-                            // decision to give up.
-                            plan.disarm_all();
-                            break plan.fired();
-                        }
-                    }
-                }
-            };
-            let Some(pt) = fired_point else {
-                slot.set_fault_plan(None);
-                skipped_events += 1;
-                continue;
-            };
-            fired.push((ev.target_name(), pt));
-            if trace {
-                eprintln!("[trace] fired {} {:?}", ev.target_name(), pt);
-            }
-
-            // Kill first, then arm the follow-up: with the handle gone the
-            // plan is only stored for the rebuild, so it cannot fire on
-            // the dead log's stragglers — its first chance is the restart,
-            // i.e. genuinely *during recovery*.
-            slot.kill();
-            let follow = ev.during_recovery.map(|(fpoint, fcount)| {
-                let pb = Arc::new(FaultPlan::new());
-                pb.arm(fpoint, fcount);
-                let (btx, brx) = crossbeam_channel::bounded(1);
-                pb.set_notify(btx);
-                slot.set_fault_plan(Some(Arc::clone(&pb)));
-                (pb, brx)
-            });
-            if follow.is_none() {
-                slot.set_fault_plan(None);
-            }
-            let _ = slot.restart();
-            if trace {
-                eprintln!("[trace] restarted {}", ev.target_name());
-            }
-            if let Some((pb, brx)) = follow {
-                // The follow-up may already have fired inside restart()'s
-                // internal retry (startup recovery) or fire now, in the
-                // replay pool; either way the slot needs one more cycle.
-                let got = brx.recv_timeout(RECOVERY_FIRE_WAIT).ok().or_else(|| {
-                    pb.disarm_all();
-                    pb.fired()
-                });
-                slot.set_fault_plan(None);
-                if let Some(pt2) = got {
-                    recovery_crashes += 1;
-                    fired.push((ev.target_name(), pt2));
-                    if trace {
-                        eprintln!("[trace] recovery-crash {} {:?}", ev.target_name(), pt2);
-                    }
-                    slot.kill();
-                    let _ = slot.restart();
-                    if trace {
-                        eprintln!("[trace] re-restarted {}", ev.target_name());
-                    }
-                }
-            }
-        }
-
-        // ---- settle ------------------------------------------------- //
-        // Both MSPs are up (every event path ends in a restart); collect
-        // the client verdicts under the storm deadline. One rescue pass
-        // restarts the slots before declaring the run wedged.
-        let mut deadline = Instant::now() + opts.settle_timeout;
-        let mut rescued = false;
-        while results.len() < sched.clients as usize {
-            match res_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(r) => results.push(r),
-                Err(_) => {
-                    if trace {
-                        eprintln!(
-                            "[trace] settle: {} results, done={}/{}",
-                            results.len(),
-                            done.load(Ordering::SeqCst),
-                            sched.clients
-                        );
-                        for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
-                            if let Some(st) = slot.stats() {
-                                eprintln!(
-                                    "[trace]   {who} req={} replayed={} busy={} dup={} \
-                                     orphan_drop={} orphan_rec={} rec_complete={}",
-                                    st.requests,
-                                    st.replayed_requests,
-                                    st.busy_replies,
-                                    st.duplicate_requests,
-                                    st.orphan_msgs_dropped,
-                                    st.orphan_recoveries,
-                                    slot.recovery_complete(),
-                                );
-                            }
-                        }
-                    }
-                    if Instant::now() < deadline {
-                        continue;
-                    }
-                    if !rescued {
-                        rescued = true;
-                        for slot in [&world.msp1, &world.msp2] {
-                            slot.set_fault_plan(None);
-                            if !slot.is_up() {
-                                let _ = slot.restart();
-                            }
-                        }
-                        deadline = Instant::now() + Duration::from_secs(30);
-                    } else {
-                        // Panic (not Err): client threads are wedged, so
-                        // the scope cannot join — surface the seed now.
-                        panic!(
-                            "{tag}: storm did not settle: {}/{} clients finished \
-                             within {:?}",
-                            results.len(),
-                            sched.clients,
-                            opts.settle_timeout
-                        );
-                    }
-                }
-            }
-        }
-    });
-
-    *tally = (fired.len() as u64, recovery_crashes);
-
-    // First client-level violation wins (it is the precise one).
-    let mut msp2_calls = 0u64;
-    for r in results {
-        msp2_calls += r?;
-    }
-    if msp2_calls != sched.total_msp2_calls() {
-        return Err(format!(
-            "{tag}: clients acked {} ServiceMethod2 calls, schedule says {}",
-            msp2_calls,
-            sched.total_msp2_calls()
-        ));
-    }
-
-    // Drain any recovery still in flight, then check the shared-state
-    // model: exactly-once means the counters equal the totals.
-    for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
-        let t0 = Instant::now();
-        while !slot.recovery_complete() {
-            if t0.elapsed() > DRAIN_WAIT {
-                return Err(format!(
-                    "{tag}: {who} recovery did not drain within {DRAIN_WAIT:?}"
-                ));
-            }
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-    // Release-stage drain: once the storm settled, both gate gauges must
-    // be zero on every shape — a nonzero gauge is a leaked parked
-    // envelope (a reply or an outgoing send that neither left nor was
-    // discarded).
-    if opts.config.is_log_based() {
-        for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
-            let t0 = Instant::now();
-            loop {
-                let Some(st) = slot.stats() else {
-                    return Err(format!("{tag}: {who} down at release-drain check"));
-                };
-                if st.gates_pending == 0 && st.send_gates_pending == 0 {
-                    break;
-                }
-                if t0.elapsed() > DRAIN_WAIT {
-                    return Err(format!(
-                        "{tag}: {who} durability gates did not drain: \
-                         gates_pending={} send_gates_pending={}",
-                        st.gates_pending, st.send_gates_pending
-                    ));
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
-    }
-
-    let requests = sched.total_requests();
-    let expect = [
-        ("MSP1", &world.msp1, ["SV0", "SV1"], requests),
-        (
-            "MSP2",
-            &world.msp2,
-            ["SV2", "SV3"],
-            sched.total_msp2_calls(),
-        ),
-    ];
-    for (who, slot, vars, want) in expect {
-        let shared = slot.dump_shared();
-        if shared.len() != 2 {
-            return Err(format!(
-                "{tag}: {who} dump_shared returned {} vars, want 2",
-                shared.len()
-            ));
-        }
-        for (vi, (name, value)) in vars.iter().zip(&shared).enumerate() {
-            let got = le_counter(value);
-            if got != want {
-                if std::env::var_os("TORTURE_TRACE").is_some() {
-                    dump_var_history(&slot.disks(), who, vi as u32);
-                }
-                return Err(format!(
-                    "{tag}: {who} {name} counter is {got}, want {want} \
-                     (exactly-once violated on shared state)"
-                ));
-            }
-        }
-    }
-
-    // Truncation counters come from the final incarnations' stats, so
-    // they must be read before the shutdown drops the handles. (They
-    // undercount across crashes — each rebuild starts fresh counters —
-    // but the storm only asserts on the audits; the numbers are for the
-    // report.)
-    let mut truncations = 0u64;
-    let mut bytes_reclaimed = 0u64;
-    let mut checkpoints_scheduled = 0u64;
-    let mut recovery_pool_failures = 0u64;
-    let mut recovery_retained_bytes = 0u64;
-    let mut forced_ckpts = ForcedCkptStats::default();
-    if opts.config.is_log_based() {
-        for slot in [&world.msp1, &world.msp2] {
-            if let Some(ls) = slot.log_stats() {
-                truncations += ls.log_truncations;
-                bytes_reclaimed += ls.bytes_reclaimed;
-            }
-            if let Some(st) = slot.stats() {
-                checkpoints_scheduled += st.checkpoints_scheduled;
-                recovery_pool_failures += st.recovery_pool_failures;
-                recovery_retained_bytes += st.recovery_retained_bytes;
-                forced_ckpts.add(&st);
-            }
-        }
-        if std::env::var_os("TORTURE_TRACE").is_some() {
-            for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
-                eprintln!(
-                    "[trace] {who} trunc={:?} floor={:?} footprint={}",
-                    slot.log_stats().map(|ls| (
-                        ls.log_truncations,
-                        ls.bytes_reclaimed,
-                        ls.reclaim_floor_lsn
-                    )),
-                    slot.reclaim_floor(),
-                    slot.footprint(),
-                );
-                if let Some(st) = slot.stats() {
-                    eprintln!(
-                        "[trace] {who} recovery pool_sessions={} pool_failures={} \
-                         retained_bytes={}",
-                        st.recovery_pool_sessions,
-                        st.recovery_pool_failures,
-                        st.recovery_retained_bytes,
-                    );
-                    eprintln!(
-                        "[trace] {who} forced_ckpt batches={} sessions={} skipped_busy={}",
-                        st.forced_ckpt_batches,
-                        st.forced_ckpt_sessions,
-                        st.forced_ckpt_skipped_busy,
-                    );
-                }
-            }
-        }
-    }
-    if recovery_pool_failures > 0 {
-        return Err(format!(
-            "{tag}: {recovery_pool_failures} session(s) could not be replayed from \
-             the log by a clean recovery (left needs_recovery); first: {}",
-            first_replay_failures(&world)
-        ));
-    }
-
-    // Post-mortem: shut the world down cleanly, then re-open the final
-    // disks and audit the log structure.
-    let disks = opts
-        .config
-        .is_log_based()
-        .then(|| [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())]);
-    world.shutdown();
-    let mut audits = Vec::new();
-    if let Some(disks) = disks {
-        for (who, stripe_disks) in disks {
-            let wtag = format!("{tag}: {who}");
-            audits.push(if stripe_disks.len() == 1 {
-                audit_log(&stripe_disks[0], &wtag)?
-            } else {
-                audit_striped_log(&stripe_disks, &wtag)?
-            });
-        }
-    }
-
-    Ok(TortureReport {
-        seed: opts.seed,
-        config: opts.config,
-        shape: opts.shape,
-        clients: sched.clients,
-        requests,
-        msp2_calls,
-        // `world.crash_count()` reads the slot counters, which restart()
-        // resets when it rebuilds a slot; `fired` is the authoritative tally.
-        crashes: tally.0,
-        fired,
-        recovery_crashes,
-        scheduled_recovery_events: sched
-            .events
-            .iter()
-            .filter(|e| e.during_recovery.is_some())
-            .count() as u64,
-        skipped_events,
-        truncations,
-        bytes_reclaimed,
-        checkpoints_scheduled,
-        recovery_pool_failures,
-        recovery_retained_bytes,
-        forced_ckpts,
-        audits,
-    })
-}
-
-/// Tuning of one long-run bounded-log session ([`run_torture_long_run`]).
-#[derive(Debug, Clone)]
-pub struct LongRunOptions {
-    pub seed: u64,
-    pub config: SystemConfig,
-    /// Run the scale-out shape: WAL striped over two disks, runtime
-    /// sharded two ways (the merged-gsn truncation path).
-    pub striped: bool,
-    /// Concurrent clients. Each issues requests continuously until the
-    /// crash sequence has finished *and* it has issued at least
-    /// `min_requests_per_client`.
-    pub clients: u64,
-    pub min_requests_per_client: u64,
-    /// Fixed-cadence MSP1 kills the controller performs.
-    pub crashes: u32,
-    /// Traffic time between kills.
-    pub crash_interval: Duration,
-    /// Per-MSP on-disk footprint bound ([`crate::world::MspSlot::footprint`],
-    /// sampled continuously); `0` disables the check.
-    pub footprint_cap: u64,
-    /// Byte-growth checkpoint trigger handed to the world — the knob the
-    /// run exists to exercise.
-    pub checkpoint_interval_bytes: u64,
-    pub settle_timeout: Duration,
-}
-
-impl LongRunOptions {
-    pub fn new(seed: u64, config: SystemConfig) -> LongRunOptions {
-        LongRunOptions {
-            seed,
-            config,
-            striped: false,
-            clients: 6,
-            min_requests_per_client: 100,
-            crashes: 8,
-            crash_interval: Duration::from_millis(200),
-            footprint_cap: 4 << 20,
-            checkpoint_interval_bytes: 256 << 10,
-            settle_timeout: Duration::from_secs(240),
-        }
-    }
-}
-
-/// What one long-run session measured.
-#[derive(Debug, Clone)]
-pub struct LongRunReport {
-    pub seed: u64,
-    pub config: SystemConfig,
-    pub striped: bool,
-    pub clients: u64,
-    /// Requests acked across all clients (the run length).
-    pub requests: u64,
-    pub msp2_calls: u64,
-    /// Kills performed (== `opts.crashes` on success).
-    pub crashes: u64,
-    /// Per-crash repair time: kill → restart returns → `recovery_complete`.
-    pub mttr: Vec<Duration>,
-    /// Highest per-MSP footprint any sample saw.
-    pub peak_footprint: u64,
-    pub footprint_cap: u64,
-    pub truncations: u64,
-    pub bytes_reclaimed: u64,
-    pub checkpoints_scheduled: u64,
-    /// Forced-checkpoint scheduler counters of both MSPs' final
-    /// incarnations.
-    pub forced_ckpts: ForcedCkptStats,
-    /// Floor-aware post-mortem audits (MSP1 then MSP2).
-    pub audits: Vec<LogAudit>,
-}
-
-impl LongRunReport {
+impl TortureReport {
     /// Mean repair time of the first and last MTTR quartile, each sample
     /// clamped to 25 ms so scheduler noise on near-instant recoveries
     /// cannot fake (or mask) a trend. `None` below 4 samples.
@@ -1058,303 +471,463 @@ impl LongRunReport {
     }
 }
 
-impl std::fmt::Display for LongRunReport {
+impl std::fmt::Display for TortureReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (first, last) = self.mttr_quartile_means().unwrap_or((0.0, 0.0));
         write!(
             f,
-            "seed={:<4} config={:<12} striped={} clients={} requests={:<5} m2_calls={:<5} \
-             crashes={} mttr_q1={:.0}ms mttr_q4={:.0}ms peak_footprint={}B cap={}B \
-             trunc={} reclaimed={}B byte_ckpts={} {} floors=[{}]",
+            "seed={:<4} config={:<12} shape={:<13} clients={:<2} requests={:<4} m2_calls={:<4} \
+             crashes={} (during-recovery {}) fired=[{}] audit=[{}]",
             self.seed,
             self.config.name(),
-            self.striped,
+            self.shape,
             self.clients,
             self.requests,
             self.msp2_calls,
             self.crashes,
-            first * 1e3,
-            last * 1e3,
-            self.peak_footprint,
-            self.footprint_cap,
-            self.truncations,
-            self.bytes_reclaimed,
-            self.checkpoints_scheduled,
-            self.forced_ckpts,
-            self.audits
+            self.recovery_crashes,
+            self.fired
                 .iter()
-                .map(|a| a.reclaim_floor.to_string())
+                .map(|(who, p)| format!("{who}:{}", p.name()))
                 .collect::<Vec<_>>()
                 .join(" "),
-        )
+            self.audits
+                .iter()
+                .map(|a| format!(
+                    "{}rec/{}eos/{}rc/floor{}",
+                    a.records, a.eos_records, a.recovery_completes, a.reclaim_floor
+                ))
+                .collect::<Vec<_>>()
+                .join(" "),
+        )?;
+        if let Some((first, last)) = self.mttr_quartile_means() {
+            write!(
+                f,
+                " mttr_q1={:.0}ms mttr_q4={:.0}ms peak_footprint={}B",
+                first * 1e3,
+                last * 1e3,
+                self.peak_footprint
+            )?;
+        }
+        if self.truncations > 0 {
+            write!(
+                f,
+                " trunc={} reclaimed={}B byte_ckpts={}",
+                self.truncations, self.bytes_reclaimed, self.checkpoints_scheduled
+            )?;
+        }
+        Ok(())
     }
 }
 
-/// The bounded-log acceptance run: continuous traffic, a byte-driven
-/// checkpoint/truncate loop, fixed-cadence MSP1 kills — and three
-/// assertions the storm tier cannot make:
-///
-/// 1. **Fixed disk footprint** — a monitor samples each MSP's live
-///    on-disk footprint throughout; the peak must stay under
-///    `footprint_cap` no matter how long the run is.
-/// 2. **Flat MTTR** — per-crash repair time is recorded; the mean of the
-///    last quartile must stay within 1.5× the first quartile's (recovery
-///    work is bounded by the checkpoint interval, not by run length).
-/// 3. **Exactly-once under truncation** — the same three-layer oracle as
-///    [`run_torture`], with the post-mortem audits running their
-///    floor-aware variants.
-pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, String> {
-    use std::sync::atomic::AtomicBool;
+/// `TORTURE_TRACE` is set: narrate the run on stderr.
+fn tracing() -> bool {
+    std::env::var_os("TORTURE_TRACE").is_some()
+}
 
-    if !opts.config.is_log_based() {
+macro_rules! trace {
+    ($($arg:tt)*) => {
+        if tracing() {
+            eprintln!("[trace] {}", format_args!($($arg)*));
+        }
+    };
+}
+
+/// How long the controller waits for an armed plan to fire before giving
+/// up on the event (traffic may have drained first).
+const FIRE_WAIT: Duration = Duration::from_secs(5);
+/// How long a during-recovery follow-up gets to hit the restart.
+const RECOVERY_FIRE_WAIT: Duration = Duration::from_secs(5);
+/// Bound on every recovery and gate drain and on the settle's extension
+/// after its rescue pass; also the longest the clients may go without a
+/// reply while one still has work.
+const DRAIN_WAIT: Duration = Duration::from_secs(30);
+/// Client `c` of a run is network endpoint `Client(CLIENT_BASE + c)`.
+const CLIENT_BASE: u64 = 10_000;
+
+/// What one client saw of one acked request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ack {
+    /// `ServiceMethod2` calls the request asked for.
+    pub m: u8,
+    /// The session counter `k` the reply carried.
+    pub counter: u64,
+    /// The client ended its session after this request.
+    pub ended_session: bool,
+}
+
+/// One client's acked requests in order, and the error that stopped it
+/// early, if one did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ClientHistory {
+    pub acks: Vec<Ack>,
+    pub error: Option<String>,
+}
+
+/// One MSP once the run settled and its recovery drained.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MspEnd {
+    /// Sessions the final incarnation could not replay from the log (it
+    /// recovered with no fault armed), and the first: `session N: error`.
+    pub replay_failures: u64,
+    pub first_replay_failure: Option<String>,
+    /// Durability-gate gauges: parked replies and parked outgoing sends
+    /// that neither left nor were discarded.
+    pub gates_pending: u64,
+    pub send_gates_pending: u64,
+}
+
+/// Everything [`check`] judges.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct History {
+    pub clients: Vec<ClientHistory>,
+    /// SV0, SV1 (MSP1) and SV2, SV3 (MSP2).
+    pub shared: [u64; 4],
+    /// MSP1 then MSP2.
+    pub msps: [MspEnd; 2],
+    /// Under [`CrashPlan::Seeded`], the schedule's total requests and Σm.
+    pub scheduled: Option<(u64, u64)>,
+}
+
+impl History {
+    /// Acked requests and their Σm.
+    pub fn acked(&self) -> (u64, u64) {
+        let acks = self.clients.iter().flat_map(|c| &c.acks);
+        acks.fold((0, 0), |(n, calls), a| (n + 1, calls + u64::from(a.m)))
+    }
+
+    /// What SV0–SV3 read if every acked effect applied exactly once.
+    fn want_shared(&self) -> [u64; 4] {
+        let (requests, calls) = self.acked();
+        [requests, requests, calls, calls]
+    }
+}
+
+const MSPS: [&str; 2] = ["MSP1", "MSP2"];
+const SHARED_VARS: [&str; 4] = ["SV0", "SV1", "SV2", "SV3"];
+
+/// The exactly-once check over a recorded history: `Err` names the first
+/// rule it breaks (the module doc lists them).
+pub fn check(h: &History) -> Result<(), String> {
+    for (c, client) in h.clients.iter().enumerate() {
+        // The session counter is per-session state, so the ledger
+        // restarts at every churn point.
+        let mut want = 0;
+        for (i, ack) in client.acks.iter().enumerate() {
+            want += 1;
+            if ack.counter != want {
+                let what = if ack.counter < want {
+                    "duplicated"
+                } else {
+                    "lost"
+                };
+                return Err(format!(
+                    "client {c} request {} saw session counter {}, want {want} \
+                     ({what} execution)",
+                    i + 1,
+                    ack.counter
+                ));
+            }
+            if ack.ended_session {
+                want = 0;
+            }
+        }
+        if let Some(e) = &client.error {
+            return Err(format!("client {c} {e}"));
+        }
+    }
+    let acked = h.acked();
+    if let Some(scheduled) = h.scheduled.filter(|&s| s != acked) {
         return Err(format!(
-            "long-run: config {} has no log to bound",
-            opts.config.name()
+            "clients acked (requests, ServiceMethod2 calls) {acked:?}, the schedule \
+             says {scheduled:?}"
         ));
     }
-    let tag = format!(
-        "torture-long-run seed={} config={}{}",
-        opts.seed,
-        opts.config.name(),
-        if opts.striped { " striped" } else { "" }
-    );
+    for (i, (got, want)) in h.shared.into_iter().zip(h.want_shared()).enumerate() {
+        if got != want {
+            let what = if got > want {
+                "an effect applied twice, or one no client acked"
+            } else {
+                "an acked effect lost"
+            };
+            return Err(format!(
+                "{} {} counter is {got}, want {want} (exactly-once violated on shared \
+                 state: {what})",
+                MSPS[i / 2],
+                SHARED_VARS[i]
+            ));
+        }
+    }
+    for (who, m) in MSPS.iter().zip(&h.msps) {
+        if m.replay_failures > 0 {
+            return Err(format!(
+                "{who}: {} session(s) could not be replayed from the log by a clean recovery \
+                 (left needs_recovery); first: {}",
+                m.replay_failures,
+                m.first_replay_failure.as_deref().unwrap_or("?")
+            ));
+        }
+        if m.gates_pending + m.send_gates_pending > 0 {
+            return Err(format!(
+                "{who} durability gates did not drain: gates_pending={} send_gates_pending={}",
+                m.gates_pending, m.send_gates_pending
+            ));
+        }
+    }
+    Ok(())
+}
 
-    let world = World::start(WorldOptions {
-        config: opts.config,
+/// A failed run: the verdict, which always names the seed and the
+/// configuration, and the crashes injected before it was reached.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TortureFailure {
+    pub message: String,
+    /// As [`TortureReport::crashes`] and
+    /// [`TortureReport::recovery_crashes`] count them.
+    pub crashes: u64,
+    pub recovery_crashes: u64,
+}
+
+impl std::fmt::Display for TortureFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.message)
+    }
+}
+
+/// The crashes a controller injected.
+#[derive(Default)]
+struct Crashes {
+    fired: Vec<(&'static str, CrashPoint)>,
+    recovery: u64,
+    mttr: Vec<Duration>,
+}
+
+/// Run one torture run.
+pub fn run(opts: &TortureOptions) -> Result<TortureReport, TortureFailure> {
+    run_in(opts, World::start(world_options(opts)))
+}
+
+/// The world a run drives.
+fn world_options(opts: &TortureOptions) -> WorldOptions {
+    let (striped, checkpoint_interval_bytes) = match &opts.plan {
+        // A storm's checkpoints stay timer-driven.
+        CrashPlan::Seeded(s) => (s.shape == WorkloadShape::StripedChurn, 0),
+        CrashPlan::Cadence(c) => (c.striped, c.checkpoint_interval_bytes),
+    };
+    WorldOptions {
         time_scale: 0.0,
+        // Small threshold so session checkpoints (and hence the
+        // CheckpointWrite site) are hot even in a short storm.
         session_ckpt_threshold: 4096,
-        checkpoints_enabled: true,
-        flush_mode: FlushMode::PerRequest,
         workers: 4,
         seed: opts.seed,
-        crash_every: 0,
         db_txn_overhead: Duration::ZERO,
-        log_stripes: if opts.striped { 2 } else { 0 },
-        runtime_shards: if opts.striped { 2 } else { 1 },
-        checkpoint_interval_bytes: opts.checkpoint_interval_bytes,
-    });
+        // The scale-out configuration: WAL over two stripes, runtime
+        // over two shards.
+        log_stripes: if striped { 2 } else { 0 },
+        runtime_shards: if striped { 2 } else { 1 },
+        checkpoint_interval_bytes,
+        ..WorldOptions::new(opts.config)
+    }
+}
 
-    let trace = std::env::var_os("TORTURE_TRACE").is_some();
-    let (res_tx, res_rx) = crossbeam_channel::unbounded::<Result<(u64, u64), String>>();
-    let done = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let peak = AtomicU64::new(0);
-    let mut mttr: Vec<Duration> = Vec::with_capacity(opts.crashes as usize);
-    let mut controller_err: Option<String> = None;
-    let mut results: Vec<Result<(u64, u64), String>> = Vec::with_capacity(opts.clients as usize);
+/// [`run`] on a world already started with [`world_options`].
+fn run_in(opts: &TortureOptions, world: World) -> Result<TortureReport, TortureFailure> {
+    let mut crashes = Crashes::default();
+    drive(opts, world, &mut crashes).map_err(|message| TortureFailure {
+        message,
+        crashes: (crashes.fired.len() + crashes.mttr.len()) as u64,
+        recovery_crashes: crashes.recovery,
+    })
+}
 
-    std::thread::scope(|s| {
-        // ---- clients: run until told to stop ------------------------ //
-        for c in 0..opts.clients {
-            let tx = res_tx.clone();
-            let (world, done, stop, tag) = (&world, &done, &stop, &tag);
-            let min_req = opts.min_requests_per_client;
-            s.spawn(move || {
-                let mut client = world.client(20_000 + c);
-                let mut expect = 0u64;
-                let mut calls = 0u64;
-                let mut verdict = Ok(());
-                loop {
-                    if stop.load(Ordering::SeqCst) && expect >= min_req {
-                        break;
-                    }
-                    // `m` alternates 1/2 deterministically — no RNG, so
-                    // the totals are pure arithmetic over the ack counts.
-                    let m = 1 + ((c + expect) % 2) as u8;
-                    match client.call(MSP1, "ServiceMethod1", &request_payload(m)) {
-                        Ok(reply) => {
-                            expect += 1;
-                            let k = reply_counter(&reply);
-                            if k != expect {
-                                verdict = Err(format!(
-                                    "{tag}: client {c} request {expect} saw session \
-                                     counter {k}, want {expect} (lost or duplicated \
-                                     execution)"
-                                ));
-                                break;
-                            }
-                            calls += m as u64;
-                        }
-                        Err(e) => {
-                            verdict = Err(format!(
-                                "{tag}: client {c} request {} failed: {e}",
-                                expect + 1
-                            ));
-                            break;
-                        }
-                    }
-                }
-                done.fetch_add(1, Ordering::SeqCst);
-                let _ = tx.send(verdict.map(|()| (expect, calls)));
-            });
+/// [`run_in`]'s body; `crashes` collects what the controller injected.
+fn drive(
+    opts: &TortureOptions,
+    world: World,
+    crashes: &mut Crashes,
+) -> Result<TortureReport, String> {
+    let tag = format!(
+        "torture seed={} config={} shape={}",
+        opts.seed,
+        opts.config.name(),
+        opts.shape_name()
+    );
+    let (sched, cadence, clients, min_requests) = match &opts.plan {
+        CrashPlan::Seeded(storm) => {
+            let sched = Schedule::generate(opts.seed, opts.config, storm);
+            let clients = sched.clients;
+            (Some(sched), None, clients, 0)
         }
-        drop(res_tx);
+        CrashPlan::Cadence(_) if !opts.config.is_log_based() => {
+            world.shutdown();
+            return Err(format!("{tag}: the configuration has no log to bound"));
+        }
+        CrashPlan::Cadence(c) => (None, Some(c), c.clients, c.min_requests_per_client),
+    };
 
-        // ---- footprint monitor -------------------------------------- //
-        {
-            let (world, done, peak) = (&world, &done, &peak);
-            let clients = opts.clients;
+    // Every client registers before any thread starts, so a failed settle
+    // can cut them all off the network.
+    let conns: Vec<_> = (0..clients)
+        .map(
+            |c| match sched.as_ref().and_then(|s| s.link_faults[c as usize]) {
+                Some((drop_prob, dup_prob)) => {
+                    world.faulty_client(CLIENT_BASE + c, drop_prob, dup_prob)
+                }
+                None => world.client(CLIENT_BASE + c),
+            },
+        )
+        .collect();
+    let progress = Progress {
+        acked: (0..clients).map(|_| AtomicU64::new(0)).collect(),
+        ..Progress::default()
+    };
+    let p = &progress;
+
+    let (histories, controlled) = std::thread::scope(|s| {
+        let handles: Vec<_> = conns
+            .into_iter()
+            .enumerate()
+            .map(|(c, client)| {
+                let sched = sched.as_ref();
+                s.spawn(move || client_loop(client, c, sched, min_requests, p))
+            })
+            .collect();
+        if cadence.is_some() {
+            let world = &world;
             s.spawn(move || {
-                while done.load(Ordering::SeqCst) < clients {
+                while !p.all_done() {
                     for slot in [&world.msp1, &world.msp2] {
-                        peak.fetch_max(slot.footprint(), Ordering::SeqCst);
+                        p.peak.fetch_max(slot.footprint(), Ordering::SeqCst);
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
             });
         }
-
-        // ---- fixed-cadence crash controller ------------------------- //
-        for k in 0..opts.crashes {
-            std::thread::sleep(opts.crash_interval);
-            if trace {
-                eprintln!(
-                    "[trace] long-run crash {k}: MSP1 floor={:?} footprint={}",
-                    world.msp1.reclaim_floor(),
-                    world.msp1.footprint()
-                );
-            }
-            world.msp1.kill();
-            let t0 = Instant::now();
-            let _ = world.msp1.restart();
-            let deadline = Instant::now() + DRAIN_WAIT;
-            while !world.msp1.recovery_complete() {
-                if Instant::now() >= deadline {
-                    controller_err = Some(format!(
-                        "{tag}: crash {k}: MSP1 recovery did not complete \
-                         within {DRAIN_WAIT:?}"
-                    ));
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            mttr.push(t0.elapsed());
-            if trace {
-                eprintln!(
-                    "[trace] long-run crash {k}: repaired in {:?}",
-                    mttr[k as usize]
-                );
-            }
-            if controller_err.is_some() {
-                break;
-            }
+        if let Some(sched) = &sched {
+            storm_crashes(&world, sched, p, crashes);
         }
-        stop.store(true, Ordering::SeqCst);
-
-        // ---- settle ------------------------------------------------- //
-        let deadline = Instant::now() + opts.settle_timeout;
-        while results.len() < opts.clients as usize {
-            match res_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(r) => results.push(r),
-                Err(_) => {
-                    if Instant::now() >= deadline {
-                        panic!(
-                            "{tag}: run did not settle: {}/{} clients finished \
-                             within {:?}",
-                            results.len(),
-                            opts.clients,
-                            opts.settle_timeout
-                        );
-                    }
-                }
-            }
-        }
+        let controlled = cadence.map_or(Ok(()), |c| cadence_crashes(&world, c, &tag, crashes));
+        p.stop.store(true, Ordering::SeqCst);
+        let settled = settle(&world, opts, &tag, p);
+        let histories: Vec<ClientHistory> = handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread"))
+            .collect();
+        (settled.map(|()| histories), controlled)
     });
-    if let Some(e) = controller_err {
-        return Err(e);
-    }
+    // A failed settle drops the world without the shutdown, which would
+    // join wedged MSP threads. A controller failure comes first: it is
+    // usually why the clients stalled.
+    let histories = match (controlled, histories) {
+        (Err(c), Err(settle)) => Err(format!("{c}; then {settle}")),
+        (c, h) => c.and(h),
+    }?;
 
-    let mut requests = 0u64;
-    let mut msp2_calls = 0u64;
-    for r in results {
-        let (reqs, calls) = r?;
-        requests += reqs;
-        msp2_calls += calls;
-    }
-
-    // Same drain + shared-state oracle as the storm tier.
-    for (who, slot) in [("MSP1", &world.msp1), ("MSP2", &world.msp2)] {
+    // Drain any recovery still in flight and the release stage, then
+    // record what the MSPs hold; the final incarnations' counters are read
+    // before the shutdown drops the handles.
+    let mut msps: [MspEnd; 2] = Default::default();
+    let (mut truncations, mut bytes_reclaimed, mut checkpoints_scheduled) = (0, 0, 0);
+    for (end, (who, slot)) in msps
+        .iter_mut()
+        .zip(MSPS.iter().zip([&world.msp1, &world.msp2]))
+    {
         let t0 = Instant::now();
-        while !slot.recovery_complete() {
-            if t0.elapsed() > DRAIN_WAIT {
-                return Err(format!(
-                    "{tag}: {who} recovery did not drain within {DRAIN_WAIT:?}"
-                ));
+        let st = loop {
+            let st = slot
+                .stats()
+                .ok_or(format!("{tag}: {who} down after the run settled"))?;
+            let drained = st.gates_pending == 0 && st.send_gates_pending == 0;
+            if (slot.recovery_complete() && drained) || t0.elapsed() > DRAIN_WAIT {
+                break st;
             }
             std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-    let expect = [
-        ("MSP1", &world.msp1, ["SV0", "SV1"], requests),
-        ("MSP2", &world.msp2, ["SV2", "SV3"], msp2_calls),
-    ];
-    for (who, slot, vars, want) in expect {
-        let shared = slot.dump_shared();
-        if shared.len() != 2 {
+        };
+        if !slot.recovery_complete() {
             return Err(format!(
-                "{tag}: {who} dump_shared returned {} vars, want 2",
-                shared.len()
+                "{tag}: {who} recovery did not drain within {DRAIN_WAIT:?}"
             ));
         }
-        for (vi, (name, value)) in vars.iter().zip(&shared).enumerate() {
-            let got = le_counter(value);
-            if got != want {
-                if trace {
-                    dump_var_history(&slot.disks(), who, vi as u32);
-                }
-                return Err(format!(
-                    "{tag}: {who} {name} counter is {got}, want {want} \
-                     (exactly-once violated on shared state)"
-                ));
-            }
-        }
-    }
-
-    // Counters + final footprint sample, then the floor-aware audits.
-    let mut truncations = 0u64;
-    let mut bytes_reclaimed = 0u64;
-    let mut checkpoints_scheduled = 0u64;
-    let mut forced_ckpts = ForcedCkptStats::default();
-    for slot in [&world.msp1, &world.msp2] {
-        peak.fetch_max(slot.footprint(), Ordering::SeqCst);
+        *end = MspEnd {
+            replay_failures: st.recovery_pool_failures,
+            first_replay_failure: slot
+                .first_replay_failure()
+                .map(|(session, err)| format!("session {}: {err}", session.0)),
+            gates_pending: st.gates_pending,
+            send_gates_pending: st.send_gates_pending,
+        };
+        p.peak.fetch_max(slot.footprint(), Ordering::SeqCst);
+        checkpoints_scheduled += st.checkpoints_scheduled;
         if let Some(ls) = slot.log_stats() {
             truncations += ls.log_truncations;
             bytes_reclaimed += ls.bytes_reclaimed;
+            trace!(
+                "{who} trunc={:?} floor={:?} footprint={}",
+                (ls.log_truncations, ls.bytes_reclaimed, ls.reclaim_floor_lsn),
+                slot.reclaim_floor(),
+                slot.footprint(),
+            );
         }
-        if let Some(st) = slot.stats() {
-            checkpoints_scheduled += st.checkpoints_scheduled;
-            if st.recovery_pool_failures > 0 {
-                return Err(format!(
-                    "{tag}: {} session(s) could not be replayed from the log \
-                     (left needs_recovery); first: {}",
-                    st.recovery_pool_failures,
-                    first_replay_failures(&world)
-                ));
-            }
-            // No convoy: one tick forces at most its share of the
-            // sessions, however they were (re-)created.
-            let share = (slot.session_count() as u64)
-                .div_ceil(u64::from(slot.cfg.logging.force_ckpt_after));
-            if st.forced_ckpt_sessions > st.forced_ckpt_batches * share {
-                return Err(format!(
-                    "{tag}: {} forced session checkpoints in {} batches — more than \
-                     {share} per MSP checkpoint",
-                    st.forced_ckpt_sessions, st.forced_ckpt_batches
-                ));
-            }
-            if trace {
-                eprintln!(
-                    "[trace] long-run forced_ckpt batches={} sessions={} skipped_busy={}",
-                    st.forced_ckpt_batches, st.forced_ckpt_sessions, st.forced_ckpt_skipped_busy
-                );
-            }
-            forced_ckpts.add(&st);
+        trace!(
+            "{who} recovery pool_sessions={} pool_failures={} retained_bytes={}",
+            st.recovery_pool_sessions,
+            st.recovery_pool_failures,
+            st.recovery_retained_bytes,
+        );
+        trace!(
+            "{who} forced_ckpt batches={} sessions={} skipped_busy={}",
+            st.forced_ckpt_batches,
+            st.forced_ckpt_sessions,
+            st.forced_ckpt_skipped_busy,
+        );
+        // No convoy: one tick forces at most its share of the sessions,
+        // however they were (re-)created.
+        let share =
+            (slot.session_count() as u64).div_ceil(u64::from(slot.cfg.logging.force_ckpt_after));
+        if cadence.is_some() && st.forced_ckpt_sessions > st.forced_ckpt_batches * share {
+            return Err(format!(
+                "{tag}: {who} forced {} session checkpoints in {} batches — more than \
+                 {share} per MSP checkpoint",
+                st.forced_ckpt_sessions, st.forced_ckpt_batches
+            ));
         }
     }
-    let disks = [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())];
+    let shared: Vec<u64> = [&world.msp1, &world.msp2]
+        .iter()
+        .flat_map(|slot| slot.dump_shared())
+        .map(|v| le_counter(&v))
+        .collect();
+    let history = History {
+        clients: histories,
+        shared: shared.try_into().map_err(|v: Vec<u64>| {
+            format!("{tag}: the MSPs hold {} shared vars, want 4", v.len())
+        })?,
+        msps,
+        scheduled: sched
+            .as_ref()
+            .map(|s| (s.total_requests(), s.total_msp2_calls())),
+    };
+    if let Err(e) = check(&history) {
+        if tracing() {
+            for (i, (got, want)) in history.shared.iter().zip(history.want_shared()).enumerate() {
+                if *got != want {
+                    let slot = if i < 2 { &world.msp1 } else { &world.msp2 };
+                    dump_var_history(&slot.disks(), MSPS[i / 2], (i % 2) as u32);
+                }
+            }
+        }
+        return Err(format!("{tag}: {e}"));
+    }
+
+    // Post-mortem: shut the world down cleanly, then re-open the final
+    // disks and audit the log structure.
+    let disks = opts
+        .config
+        .is_log_based()
+        .then(|| [("MSP1", world.msp1.disks()), ("MSP2", world.msp2.disks())]);
     world.shutdown();
     let mut audits = Vec::new();
-    for (who, stripe_disks) in disks {
+    for (who, stripe_disks) in disks.into_iter().flatten() {
         let wtag = format!("{tag}: {who}");
         audits.push(if stripe_disks.len() == 1 {
             audit_log(&stripe_disks[0], &wtag)?
@@ -1363,68 +936,344 @@ pub fn run_torture_long_run(opts: &LongRunOptions) -> Result<LongRunReport, Stri
         });
     }
 
-    let report = LongRunReport {
+    let (requests, msp2_calls) = history.acked();
+    let report = TortureReport {
         seed: opts.seed,
         config: opts.config,
-        striped: opts.striped,
-        clients: opts.clients,
+        shape: opts.shape_name(),
+        clients,
         requests,
         msp2_calls,
-        crashes: mttr.len() as u64,
-        mttr,
-        peak_footprint: peak.load(Ordering::SeqCst),
-        footprint_cap: opts.footprint_cap,
+        crashes: (crashes.fired.len() + crashes.mttr.len()) as u64,
+        fired: crashes.fired.clone(),
+        recovery_crashes: crashes.recovery,
+        scheduled_recovery_events: sched.map_or(0, |s| {
+            s.events
+                .iter()
+                .filter(|e| e.during_recovery.is_some())
+                .count() as u64
+        }),
+        mttr: crashes.mttr.clone(),
+        peak_footprint: p.peak.load(Ordering::SeqCst),
         truncations,
         bytes_reclaimed,
         checkpoints_scheduled,
-        forced_ckpts,
-        audits: audits.clone(),
+        audits,
     };
+    if let Some(c) = cadence {
+        bounded_log_verdict(&report, c).map_err(|e| format!("{tag}: {e}"))?;
+    }
+    Ok(report)
+}
 
-    // ---- the bounded-log assertions ----------------------------------- //
-    if report.truncations == 0 {
-        return Err(format!(
-            "{tag}: the log was never truncated — the byte-driven \
-             checkpoint loop (interval {}B) did not run",
-            opts.checkpoint_interval_bytes
-        ));
+/// What the clients, the controller, the footprint monitor and the
+/// settle share.
+#[derive(Default)]
+struct Progress {
+    /// Per client: requests acked so far.
+    acked: Vec<AtomicU64>,
+    /// Clients that have finished.
+    done: AtomicU64,
+    /// Set once the controller is through: `Cadence` clients then stop
+    /// after their minimum.
+    stop: AtomicBool,
+    /// `Cadence`: the highest per-MSP footprint sampled.
+    peak: AtomicU64,
+}
+
+impl Progress {
+    fn all_done(&self) -> bool {
+        self.done.load(Ordering::SeqCst) == self.acked.len() as u64
     }
-    if !audits.iter().any(|a| a.reclaim_floor > DATA_START) {
-        return Err(format!(
-            "{tag}: no audited log's reclaim floor advanced past \
-             DATA_START despite {} truncations",
-            report.truncations
-        ));
+
+    fn acked(&self) -> Vec<u64> {
+        self.acked
+            .iter()
+            .map(|a| a.load(Ordering::SeqCst))
+            .collect()
     }
-    if opts.footprint_cap > 0 && report.peak_footprint > opts.footprint_cap {
-        return Err(format!(
-            "{tag}: peak per-MSP footprint {}B exceeds the cap {}B — \
-             the log is not bounded",
-            report.peak_footprint, opts.footprint_cap
-        ));
-    }
-    match report.mttr_quartile_means() {
-        None => {
-            return Err(format!(
-                "{tag}: only {} MTTR samples (need ≥ 4 for the flatness \
-                 check) — raise `crashes`",
-                report.mttr.len()
-            ));
+}
+
+/// Client `c`: issue requests until its plan runs out, recording each
+/// ack. A storm client works through its schedule; a long-run client
+/// alternates `m` between 1 and 2 (so the totals are pure arithmetic over
+/// the acks) until the controller is through and it has its minimum.
+fn client_loop(
+    mut client: MspClient,
+    c: usize,
+    sched: Option<&Schedule>,
+    min_requests: u64,
+    p: &Progress,
+) -> ClientHistory {
+    let mut acks = Vec::new();
+    let mut issue = || -> Result<(), String> {
+        loop {
+            let i = acks.len();
+            let next = match sched {
+                Some(s) => s.ms[c].get(i).map(|&m| (m, s.churn_after[c][i])),
+                None => (!p.stop.load(Ordering::SeqCst) || (i as u64) < min_requests)
+                    .then_some((1 + ((c + i) % 2) as u8, false)),
+            };
+            let Some((m, ended_session)) = next else {
+                return Ok(());
+            };
+            let reply = client
+                .call(MSP1, "ServiceMethod1", &request_payload(m))
+                .map_err(|e| format!("request {} failed: {e}", i + 1))?;
+            let counter = reply_counter(&reply);
+            acks.push(Ack {
+                m,
+                counter,
+                ended_session,
+            });
+            p.acked[c].fetch_add(1, Ordering::SeqCst);
+            if ended_session {
+                client
+                    .end_session(MSP1)
+                    .map_err(|e| format!("end_session after request {} failed: {e}", i + 1))?;
+            }
         }
-        Some((first, last)) => {
-            if last > first * 1.5 {
-                return Err(format!(
-                    "{tag}: MTTR is not flat: last-quartile mean {:.1}ms > \
-                     1.5 × first-quartile mean {:.1}ms — recovery work is \
-                     growing with run length",
-                    last * 1e3,
-                    first * 1e3
-                ));
+    };
+    let error = issue().err();
+    p.done.fetch_add(1, Ordering::SeqCst);
+    ClientHistory { acks, error }
+}
+
+/// Wait for every client to finish, as [`TortureOptions::settle_timeout`]
+/// describes. On failure every client is cut off the network, so each
+/// pending `call` returns `Shutdown` and the caller's scope can join.
+fn settle(world: &World, opts: &TortureOptions, tag: &str, p: &Progress) -> Result<(), String> {
+    let mut deadline = Instant::now() + opts.settle_timeout;
+    let mut rescued = false;
+    let (mut seen, mut moved) = (p.acked(), Instant::now());
+    while !p.all_done() {
+        std::thread::sleep(Duration::from_millis(50));
+        trace!(
+            "settle: acked={:?} done={:?}/{}",
+            p.acked(),
+            p.done,
+            p.acked.len()
+        );
+        for (who, slot) in MSPS.iter().zip([&world.msp1, &world.msp2]) {
+            if let Some(st) = slot.stats().filter(|_| tracing()) {
+                trace!(
+                    "  {who} req={} replayed={} busy={} dup={} orphan_drop={} orphan_rec={} \
+                     rec_complete={}",
+                    st.requests,
+                    st.replayed_requests,
+                    st.busy_replies,
+                    st.duplicate_requests,
+                    st.orphan_msgs_dropped,
+                    st.orphan_recoveries,
+                    slot.recovery_complete(),
+                );
+            }
+        }
+        let now = Instant::now();
+        if p.acked() != seen {
+            (seen, moved) = (p.acked(), now);
+        }
+        let why = if now - moved >= DRAIN_WAIT {
+            format!("no client had a reply for {DRAIN_WAIT:?}")
+        } else if now < deadline {
+            continue;
+        } else if !rescued {
+            // One rescue pass before declaring the run wedged.
+            rescued = true;
+            for slot in [&world.msp1, &world.msp2] {
+                slot.set_fault_plan(None);
+                if !slot.is_up() {
+                    let _ = slot.restart();
+                }
+            }
+            deadline = Instant::now() + opts.settle_timeout.min(DRAIN_WAIT);
+            continue;
+        } else {
+            format!(
+                "the settle timeout {:?} ran out after the rescue pass",
+                opts.settle_timeout
+            )
+        };
+        for c in 0..p.acked.len() as u64 {
+            world.net.unregister(EndpointId::Client(CLIENT_BASE + c));
+        }
+        return Err(format!(
+            "{tag}: clients did not settle: {why}; acked per client {seen:?}; live threads [{}]",
+            live_threads()
+        ));
+    }
+    Ok(())
+}
+
+/// The process's live threads by name (`name×count` for repeats), from
+/// `/proc/self/task/*/comm`; empty where there is no `/proc`.
+fn live_threads() -> String {
+    let mut names = BTreeMap::<String, usize>::new();
+    for task in std::fs::read_dir("/proc/self/task")
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        if let Ok(name) = std::fs::read_to_string(task.path().join("comm")) {
+            *names.entry(name.trim().to_string()).or_default() += 1;
+        }
+    }
+    let named = names.iter().map(|(name, n)| match n {
+        1 => name.clone(),
+        n => format!("{name}×{n}"),
+    });
+    named.collect::<Vec<_>>().join(" ")
+}
+
+/// The `Seeded` controller: walk the schedule's crash events while the
+/// clients run.
+fn storm_crashes(world: &World, sched: &Schedule, p: &Progress, crashes: &mut Crashes) {
+    for ev in &sched.events {
+        trace!("event {ev:?} done={:?}/{}", p.done, sched.clients);
+        if p.all_done() {
+            continue;
+        }
+        let (who, slot) = if ev.target_msp2 {
+            ("MSP2", &world.msp2)
+        } else {
+            ("MSP1", &world.msp1)
+        };
+        let plan = Arc::new(FaultPlan::new());
+        plan.arm(ev.point, ev.countdown);
+        let (ftx, frx) = crossbeam_channel::bounded(1);
+        plan.set_notify(ftx);
+        slot.set_fault_plan(Some(Arc::clone(&plan)));
+
+        let deadline = Instant::now() + FIRE_WAIT;
+        let fired_point = loop {
+            if let Ok(pt) = frx.recv_timeout(Duration::from_millis(20)) {
+                break Some(pt);
+            }
+            if p.all_done() || Instant::now() >= deadline {
+                // Disarm, then re-check: a fire can race the decision to
+                // give up.
+                plan.disarm_all();
+                break plan.fired();
+            }
+        };
+        let Some(pt) = fired_point else {
+            slot.set_fault_plan(None);
+            continue;
+        };
+        crashes.fired.push((who, pt));
+        trace!("fired {who} {pt:?}");
+
+        // Kill first, then arm the follow-up: with the handle gone the
+        // plan is only stored for the rebuild, so it cannot fire on the
+        // dead log's stragglers — its first chance is the restart, i.e.
+        // genuinely *during recovery*.
+        slot.kill();
+        let follow = ev.during_recovery.map(|(fpoint, fcount)| {
+            let pb = Arc::new(FaultPlan::new());
+            pb.arm(fpoint, fcount);
+            let (btx, brx) = crossbeam_channel::bounded(1);
+            pb.set_notify(btx);
+            (pb, brx)
+        });
+        slot.set_fault_plan(follow.as_ref().map(|(pb, _)| Arc::clone(pb)));
+        let _ = slot.restart();
+        trace!("restarted {who}");
+        if let Some((pb, brx)) = follow {
+            // The follow-up may already have fired inside restart()'s
+            // internal retry (startup recovery) or fire now, in the
+            // replay pool; either way the slot needs one more cycle.
+            let got = brx.recv_timeout(RECOVERY_FIRE_WAIT).ok().or_else(|| {
+                pb.disarm_all();
+                pb.fired()
+            });
+            slot.set_fault_plan(None);
+            if let Some(pt2) = got {
+                crashes.recovery += 1;
+                crashes.fired.push((who, pt2));
+                trace!("recovery-crash {who} {pt2:?}");
+                slot.kill();
+                let _ = slot.restart();
+                trace!("re-restarted {who}");
             }
         }
     }
+}
 
-    Ok(report)
+/// The `Cadence` controller: kill and restart MSP1 every
+/// `crash_interval`, timing each repair.
+fn cadence_crashes(
+    world: &World,
+    cadence: &Cadence,
+    tag: &str,
+    crashes: &mut Crashes,
+) -> Result<(), String> {
+    for k in 0..cadence.crashes {
+        std::thread::sleep(cadence.crash_interval);
+        let msp1 = &world.msp1;
+        trace!(
+            "long-run crash {k}: MSP1 floor={:?} footprint={}",
+            msp1.reclaim_floor(),
+            msp1.footprint()
+        );
+        msp1.kill();
+        let t0 = Instant::now();
+        let _ = msp1.restart();
+        let deadline = Instant::now() + DRAIN_WAIT;
+        while !msp1.recovery_complete() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        crashes.mttr.push(t0.elapsed());
+        trace!("long-run crash {k}: repaired in {:?}", t0.elapsed());
+        if !msp1.recovery_complete() {
+            return Err(format!(
+                "{tag}: crash {k}: MSP1 recovery did not complete within {DRAIN_WAIT:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The `Cadence` plan's bounded-log assertions, over a report that has
+/// passed [`check`] and the audits.
+fn bounded_log_verdict(report: &TortureReport, cadence: &Cadence) -> Result<(), String> {
+    if report.truncations == 0 {
+        return Err(format!(
+            "the log was never truncated — the byte-driven checkpoint loop (interval {}B) \
+             did not run",
+            cadence.checkpoint_interval_bytes
+        ));
+    }
+    if !report.audits.iter().any(|a| a.reclaim_floor > DATA_START) {
+        return Err(format!(
+            "no audited log's reclaim floor advanced past DATA_START despite {} truncations",
+            report.truncations
+        ));
+    }
+    if cadence.footprint_cap > 0 && report.peak_footprint > cadence.footprint_cap {
+        return Err(format!(
+            "peak per-MSP footprint {}B exceeds the cap {}B — the log is not bounded",
+            report.peak_footprint, cadence.footprint_cap
+        ));
+    }
+    let Some((first, last)) = report.mttr_quartile_means() else {
+        return Err(format!(
+            "only {} MTTR samples (need ≥ 4 for the flatness check) — raise `crashes`",
+            report.mttr.len()
+        ));
+    };
+    if last > first * 1.5 {
+        return Err(format!(
+            "MTTR is not flat: last-quartile mean {:.1}ms > 1.5 × first-quartile mean \
+             {:.1}ms — recovery work is growing with run length",
+            last * 1e3,
+            first * 1e3
+        ));
+    }
+    Ok(())
+}
+
+fn le_counter(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte counter"))
 }
 
 /// Frame layout of log.rs: magic byte + u32 length + u32 crc.
@@ -1813,30 +1662,39 @@ fn dump_var_history(disks: &[Arc<MemDisk>], who: &str, var: u32) {
 mod tests {
     use super::*;
 
+    fn schedule(seed: u64, config: SystemConfig, shape: WorkloadShape) -> Schedule {
+        let storm = Storm {
+            shape,
+            ..Storm::default()
+        };
+        Schedule::generate(seed, config, &storm)
+    }
+
     #[test]
     fn schedules_are_deterministic_and_seed_sensitive() {
-        let opts = TortureOptions::new(11, SystemConfig::LoOptimistic);
-        let a = Schedule::generate(&opts);
-        let b = Schedule::generate(&opts);
+        let a = schedule(11, SystemConfig::LoOptimistic, WorkloadShape::Default);
+        let b = schedule(11, SystemConfig::LoOptimistic, WorkloadShape::Default);
         assert_eq!(a, b, "same seed, same schedule");
         assert!((8..=32).contains(&a.clients));
         assert!(a.ms.iter().flatten().all(|&m| (1..=4).contains(&m)));
-        assert_eq!(a.events.len(), opts.crash_events);
+        assert_eq!(a.events.len(), Storm::default().crash_events);
         assert!(
             a.events[0].during_recovery.is_some(),
             "first event always crashes the recovery itself"
         );
-        let c = Schedule::generate(&TortureOptions::new(12, SystemConfig::LoOptimistic));
+        let c = schedule(12, SystemConfig::LoOptimistic, WorkloadShape::Default);
         assert_ne!(a, c, "different seed, different schedule");
     }
 
     #[test]
     fn shapes_bias_the_schedule_without_breaking_determinism() {
-        let mut base = TortureOptions::new(11, SystemConfig::LoOptimistic);
-
-        base.shape = WorkloadShape::SharedHeavy;
-        let heavy = Schedule::generate(&base);
-        assert_eq!(heavy, Schedule::generate(&base), "same (seed, shape)");
+        let config = SystemConfig::LoOptimistic;
+        let heavy = schedule(11, config, WorkloadShape::SharedHeavy);
+        assert_eq!(
+            heavy,
+            schedule(11, config, WorkloadShape::SharedHeavy),
+            "same (seed, shape)"
+        );
         assert!(
             heavy.ms.iter().flatten().all(|&m| (3..=4).contains(&m)),
             "shared-heavy draws m from 3..=4 only"
@@ -1846,17 +1704,19 @@ mod tests {
             "shared-heavy schedules no churn"
         );
 
-        base.shape = WorkloadShape::SessionChurn;
-        let churn = Schedule::generate(&base);
-        assert_eq!(churn, Schedule::generate(&base), "same (seed, shape)");
+        let churn = schedule(11, config, WorkloadShape::SessionChurn);
+        assert_eq!(
+            churn,
+            schedule(11, config, WorkloadShape::SessionChurn),
+            "same (seed, shape)"
+        );
         assert!(
             churn.churn_after.iter().flatten().any(|&b| b),
             "a 25% per-request churn rate over a whole storm must fire"
         );
         // The churn draws are appended at the *end* of the stream, so
         // everything before them is untouched by the shape.
-        base.shape = WorkloadShape::Default;
-        let plain = Schedule::generate(&base);
+        let plain = schedule(11, config, WorkloadShape::Default);
         assert_eq!(plain.ms, churn.ms, "churn shape leaves m draws alone");
         assert_eq!(plain.events, churn.events, "and crash events too");
         assert!(plain.churn_after.iter().flatten().all(|&b| !b));
@@ -1864,15 +1724,16 @@ mod tests {
 
     #[test]
     fn deep_chain_forces_m4_and_retargets_events_onto_the_new_sites() {
-        let mut opts = TortureOptions::new(11, SystemConfig::Pessimistic);
-        opts.shape = WorkloadShape::DeepChain;
-        let deep = Schedule::generate(&opts);
-        assert_eq!(deep, Schedule::generate(&opts), "same (seed, shape)");
+        let deep = schedule(11, SystemConfig::Pessimistic, WorkloadShape::DeepChain);
+        assert_eq!(
+            deep,
+            schedule(11, SystemConfig::Pessimistic, WorkloadShape::DeepChain),
+            "same (seed, shape)"
+        );
         assert!(deep.ms.iter().flatten().all(|&m| m == 4), "m pinned to 4");
         // The retarget rewrites *points* only — targets, countdowns and
         // follow-ups are the same stream as Default's.
-        opts.shape = WorkloadShape::Default;
-        let plain = Schedule::generate(&opts);
+        let plain = schedule(11, SystemConfig::Pessimistic, WorkloadShape::Default);
         assert_eq!(deep.events.len(), plain.events.len());
         for (d, p) in deep.events.iter().zip(&plain.events) {
             assert_eq!(d.target_msp2, p.target_msp2);
@@ -1881,24 +1742,22 @@ mod tests {
         }
         // Over enough seeds the new sites are actually scheduled, each on
         // the configuration where it is hot.
-        let mut any_send_gate = false;
-        let mut any_flush_serve = false;
-        for seed in 0..64 {
-            let mut o = TortureOptions::new(seed, SystemConfig::Pessimistic);
-            o.shape = WorkloadShape::DeepChain;
-            any_send_gate |= Schedule::generate(&o)
-                .events
-                .iter()
-                .any(|e| e.point == CrashPoint::SendGateIssue);
-            let mut o = TortureOptions::new(seed, SystemConfig::LoOptimistic);
-            o.shape = WorkloadShape::DeepChain;
-            any_flush_serve |= Schedule::generate(&o)
-                .events
-                .iter()
-                .any(|e| e.point == CrashPoint::FlushServe);
-        }
-        assert!(any_send_gate, "Pessimistic deep-chain hits SendGateIssue");
-        assert!(any_flush_serve, "LoOptimistic deep-chain hits FlushServe");
+        let hits = |config, point| {
+            (0..64).any(|seed| {
+                schedule(seed, config, WorkloadShape::DeepChain)
+                    .events
+                    .iter()
+                    .any(|e| e.point == point)
+            })
+        };
+        assert!(
+            hits(SystemConfig::Pessimistic, CrashPoint::SendGateIssue),
+            "Pessimistic deep-chain hits SendGateIssue"
+        );
+        assert!(
+            hits(SystemConfig::LoOptimistic, CrashPoint::FlushServe),
+            "LoOptimistic deep-chain hits FlushServe"
+        );
     }
 
     #[test]
@@ -1908,9 +1767,91 @@ mod tests {
             SystemConfig::Psession,
             SystemConfig::StateServer,
         ] {
-            let s = Schedule::generate(&TortureOptions::new(3, config));
+            let s = schedule(3, config, WorkloadShape::Default);
             assert!(s.events.is_empty(), "{}", config.name());
         }
+    }
+
+    /// Two clients, the first churning after its second request: 5
+    /// requests, Σm = 11.
+    fn clean_history() -> History {
+        let ack = |m, counter, ended_session| Ack {
+            m,
+            counter,
+            ended_session,
+        };
+        History {
+            clients: vec![
+                ClientHistory {
+                    acks: vec![ack(1, 1, false), ack(2, 2, true), ack(3, 1, false)],
+                    error: None,
+                },
+                ClientHistory {
+                    acks: vec![ack(4, 1, false), ack(1, 2, false)],
+                    error: None,
+                },
+            ],
+            shared: [5, 5, 11, 11],
+            msps: Default::default(),
+            scheduled: Some((5, 11)),
+        }
+    }
+
+    #[test]
+    fn check_passes_a_clean_history_and_names_each_violation() {
+        assert_eq!(check(&clean_history()), Ok(()));
+        type Mutation = (&'static str, fn(&mut History));
+        let mutations: [Mutation; 6] = [
+            ("counter 1, want 2 (duplicated execution)", |h| {
+                h.clients[1].acks[1].counter = 1
+            }),
+            ("counter 2, want 1 (lost execution)", |h| {
+                h.clients[0].acks[2].counter = 2
+            }),
+            ("SV2 counter is 12, want 11", |h| h.shared[2] += 1),
+            ("SV0 counter is 4, want 5", |h| h.shared[0] -= 1),
+            ("could not be replayed", |h| h.msps[1].replay_failures = 1),
+            ("MSP1 durability gates did not drain", |h| {
+                h.msps[0].send_gates_pending = 1
+            }),
+        ];
+        let mut seen = Vec::new();
+        for (want, mutate) in mutations {
+            let mut h = clean_history();
+            mutate(&mut h);
+            let err = check(&h).expect_err(want);
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+            assert!(!seen.contains(&err), "two mutations share {err:?}");
+            seen.push(err);
+        }
+    }
+
+    /// MSP1 is killed before the clients start and, once the settle's
+    /// rescue pass restarts it, stays cut off from them: the run must fail
+    /// with its seed instead of hanging.
+    #[test]
+    fn a_stalled_run_fails_with_its_seed_instead_of_hanging() {
+        let storm = Storm {
+            requests_per_client: 3,
+            crash_events: 0,
+            ..Storm::default()
+        };
+        let mut opts = TortureOptions::new(7, SystemConfig::LoOptimistic, CrashPlan::Seeded(storm));
+        opts.settle_timeout = Duration::from_secs(2);
+        let world = World::start(world_options(&opts));
+        world.msp1.kill();
+        for c in 0..32 {
+            world.net.set_partitioned(
+                EndpointId::Client(CLIENT_BASE + c),
+                EndpointId::Msp(MSP1),
+                true,
+            );
+        }
+        let t0 = Instant::now();
+        let err = run_in(&opts, world).expect_err("a stalled run fails");
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+        assert!(err.message.contains("seed=7"), "{err}");
+        assert!(err.message.contains("did not settle"), "{err}");
     }
 
     #[test]

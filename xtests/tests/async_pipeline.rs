@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use msp_harness::torture::{run_torture, TortureOptions, WorkloadShape};
+use msp_harness::torture::{self, CrashPlan, Storm, TortureOptions, WorkloadShape};
 use msp_harness::workload::{reply_counter, request_payload, MSP1};
 use msp_harness::{FlushMode, SystemConfig, World, WorldOptions};
 use msp_types::Lsn;
@@ -345,12 +345,13 @@ fn deep_chain_torture_crashes_the_send_window_on_both_msps() {
         (2u64, SystemConfig::Pessimistic),
         (3u64, SystemConfig::LoOptimistic),
     ] {
-        let mut opts = TortureOptions::new(seed, config);
-        opts.shape = WorkloadShape::DeepChain;
-        opts.requests_per_client = 5;
-        opts.crash_events = 3;
-        let report =
-            run_torture(&opts).unwrap_or_else(|e| panic!("seed {seed} {}: {e}", config.name()));
+        let storm = Storm {
+            shape: WorkloadShape::DeepChain,
+            requests_per_client: 5,
+            crash_events: 3,
+        };
+        let opts = TortureOptions::new(seed, config, CrashPlan::Seeded(storm));
+        let report = torture::run(&opts).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             report.crashes >= 1,
             "seed {seed} {} injected no crash",

@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use msp_core::client::ClientOptions;
 use msp_core::config::LoggingConfig;
 use msp_core::{fold_reclaim_floor, ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig};
-use msp_harness::torture::{run_torture_long_run, LongRunOptions};
+use msp_harness::torture::{self, Cadence, CrashPlan, TortureOptions};
 use msp_harness::SystemConfig;
 use msp_net::{NetModel, Network};
 use msp_types::{DomainId, Lsn, MspError, MspId, SessionId};
@@ -372,14 +372,17 @@ proptest! {
 /// post-mortem audits. Seed pinned — a failure here reproduces exactly.
 #[test]
 fn long_run_pinned_seed_stays_bounded() {
-    let mut opts = LongRunOptions::new(42, SystemConfig::LoOptimistic);
-    opts.clients = 4;
-    opts.min_requests_per_client = 40;
-    opts.crashes = 4;
-    opts.crash_interval = Duration::from_millis(80);
-    opts.checkpoint_interval_bytes = 128 << 10;
-    opts.footprint_cap = 4 << 20;
-    let report = run_torture_long_run(&opts).expect("pinned long-run seed");
+    let plan = CrashPlan::Cadence(Cadence {
+        clients: 4,
+        min_requests_per_client: 40,
+        crashes: 4,
+        crash_interval: Duration::from_millis(80),
+        checkpoint_interval_bytes: 128 << 10,
+        footprint_cap: 4 << 20,
+        ..Cadence::default()
+    });
+    let opts = TortureOptions::new(42, SystemConfig::LoOptimistic, plan);
+    let report = torture::run(&opts).expect("pinned long-run seed");
     assert!(report.truncations > 0);
     assert!(report.requests >= 4 * 40);
     assert_eq!(report.crashes, 4);

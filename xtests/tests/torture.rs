@@ -10,32 +10,31 @@
 
 use std::time::Duration;
 
-use msp_harness::{run_torture, SystemConfig, TortureOptions, WorkloadShape};
+use msp_harness::torture::{self, CrashPlan, Storm, TortureOptions, TortureReport};
+use msp_harness::{SystemConfig, WorkloadShape};
 
 /// Seeds chosen to keep the whole matrix under a CI-friendly budget
 /// while still firing multi-crash schedules on the log-based configs.
 const SEEDS: [u64; 2] = [1, 5];
 
-fn storm_opts(seed: u64, config: SystemConfig) -> TortureOptions {
-    let mut opts = TortureOptions::new(seed, config);
-    opts.requests_per_client = 8;
+fn storm_opts(seed: u64, config: SystemConfig, shape: WorkloadShape) -> TortureOptions {
+    let storm = Storm {
+        shape,
+        requests_per_client: 8,
+        ..Storm::default()
+    };
+    let mut opts = TortureOptions::new(seed, config, CrashPlan::Seeded(storm));
     opts.settle_timeout = Duration::from_secs(90);
     opts
 }
 
-fn run(opts: &TortureOptions) -> msp_harness::TortureReport {
-    run_torture(opts).unwrap_or_else(|msg| {
-        panic!(
-            "torture seed={} config={} shape={}: {msg}",
-            opts.seed,
-            opts.config.name(),
-            opts.shape.name()
-        )
-    })
+/// The failure message names the seed, configuration and shape.
+fn run(opts: &TortureOptions) -> TortureReport {
+    torture::run(opts).unwrap_or_else(|failure| panic!("{failure}"))
 }
 
-fn storm(seed: u64, config: SystemConfig) -> msp_harness::TortureReport {
-    run(&storm_opts(seed, config))
+fn storm(seed: u64, config: SystemConfig) -> TortureReport {
+    run(&storm_opts(seed, config, WorkloadShape::Default))
 }
 
 #[test]
@@ -90,9 +89,7 @@ fn workload_shapes_hold_exactly_once_under_crash_storms() {
     for shape in [WorkloadShape::SharedHeavy, WorkloadShape::SessionChurn] {
         for config in [SystemConfig::LoOptimistic, SystemConfig::Pessimistic] {
             for seed in SEEDS {
-                let mut opts = storm_opts(seed, config);
-                opts.shape = shape;
-                let report = run(&opts);
+                let report = run(&storm_opts(seed, config, shape));
                 assert!(report.requests > 0, "storm drove no traffic: {report}");
                 assert!(
                     report.crashes > 0,
@@ -111,9 +108,7 @@ fn workload_shapes_hold_exactly_once_under_crash_storms() {
 fn striped_churn_holds_exactly_once_under_crash_storms() {
     for config in [SystemConfig::LoOptimistic, SystemConfig::Pessimistic] {
         for seed in SEEDS {
-            let mut opts = storm_opts(seed, config);
-            opts.shape = WorkloadShape::StripedChurn;
-            let report = run(&opts);
+            let report = run(&storm_opts(seed, config, WorkloadShape::StripedChurn));
             assert!(report.requests > 0, "storm drove no traffic: {report}");
             assert!(
                 report.crashes > 0,
@@ -136,9 +131,12 @@ fn striped_churn_holds_exactly_once_under_crash_storms() {
 /// --seeds 1 --config LoOptimistic --shape default --requests 10 --events 3`.
 #[test]
 fn seed_4_shared_state_storm_holds_exactly_once() {
-    let mut opts = TortureOptions::new(4, SystemConfig::LoOptimistic);
-    opts.requests_per_client = 10;
-    opts.crash_events = 3;
+    let storm = Storm {
+        requests_per_client: 10,
+        crash_events: 3,
+        ..Storm::default()
+    };
+    let mut opts = TortureOptions::new(4, SystemConfig::LoOptimistic, CrashPlan::Seeded(storm));
     opts.settle_timeout = Duration::from_secs(90);
     let report = run(&opts);
     assert!(report.crashes > 0, "storm injected no crashes: {report}");
@@ -171,9 +169,7 @@ fn session_churn_on_baseline_configs() {
         SystemConfig::Psession,
         SystemConfig::StateServer,
     ] {
-        let mut opts = storm_opts(1, config);
-        opts.shape = WorkloadShape::SessionChurn;
-        let report = run(&opts);
+        let report = run(&storm_opts(1, config, WorkloadShape::SessionChurn));
         assert!(report.requests > 0, "storm drove no traffic: {report}");
     }
 }
