@@ -141,7 +141,7 @@ impl MspClient {
                             ReplyStatus::Busy => {
                                 // Server is checkpointing or recovering:
                                 // sleep and resend (§5.4).
-                                std::thread::sleep(self.opts.busy_backoff);
+                                msp_wal::model::sleep_exact(self.opts.busy_backoff);
                                 break;
                             }
                             status => {

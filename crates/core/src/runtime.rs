@@ -1181,7 +1181,7 @@ impl MspInner {
                 continue;
             };
             if rep.status == ReplyStatus::Busy {
-                std::thread::sleep(self.cfg.scaled_busy_backoff());
+                msp_wal::model::sleep_exact(self.cfg.scaled_busy_backoff());
                 continue;
             }
             // Interception point (§4.1): receiving a reply checks both the

@@ -383,11 +383,26 @@ fn concurrent_requests_share_device_flushes_and_never_queue() {
 fn a_started_msp_has_no_infra_thread() {
     let net = Network::new(NetModel::zero(), 12);
     let msp2 = start_msp2(&net, Arc::new(MemDisk::new()));
-    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .unwrap()
-        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
-        .map(|n| n.trim().to_string())
-        .collect();
+    // A new thread names itself when it first runs and shows its
+    // parent's name until then: wait until every thread this one started
+    // has taken its own.
+    let me = std::fs::read_to_string("/proc/thread-self/comm").unwrap();
+    let t0 = Instant::now();
+    let names = loop {
+        let names: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+            .map(|n| n.trim().to_string())
+            .collect();
+        if names.iter().filter(|n| *n == me.trim()).count() <= 1 {
+            break names;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "threads still unnamed: {names:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert!(
         names.iter().any(|n| n == "msp2-dispatch"),
         "the runtime is running: {names:?}"

@@ -376,7 +376,7 @@ const FIG17_MIN_GAIN: f64 = 1.7;
 /// claims that did not hold as departures). Returns one line per
 /// violated claim; empty means every claim whose rows were run holds.
 pub fn violations(r: &Reproduction) -> Vec<String> {
-    use SystemConfig::{LoOptimistic, NoLog, Pessimistic, Psession};
+    use SystemConfig::{LoOptimistic, NoLog, Pessimistic, Psession, StateServer};
     let mut v = Vec::new();
 
     // A crash row that recorded no crash measured nothing.
@@ -428,14 +428,15 @@ pub fn violations(r: &Reproduction) -> Vec<String> {
             ));
         }
     }
-    if let (Some(lo), Some(pe)) = (
-        avg(&r.fig14_table, LoOptimistic, 1),
-        avg(&r.fig14_table, Pessimistic, 1),
-    ) {
-        if lo >= pe {
-            v.push(format!(
-                "Fig. 14 table: LoOptimistic {lo:.1} ms is not faster than Pessimistic {pe:.1} ms"
-            ));
+    for (fast, slow) in [(StateServer, LoOptimistic), (LoOptimistic, Pessimistic)] {
+        if let (Some(a), Some(b)) = (avg(&r.fig14_table, fast, 1), avg(&r.fig14_table, slow, 1)) {
+            if a >= b {
+                v.push(format!(
+                    "Fig. 14 table: {} {a:.1} ms is not faster than {} {b:.1} ms",
+                    fast.name(),
+                    slow.name()
+                ));
+            }
         }
     }
     let gap =
@@ -674,7 +675,7 @@ mod tests {
             rows[i].summary.avg = Duration::from_secs_f64(ms / 1e3);
         }
         type Break = fn(&mut Reproduction);
-        let cases: [(&str, Break); 12] = [
+        let cases: [(&str, Break); 13] = [
             (
                 "crash row without a crash: Fig. 15(b) LoOptimistic every 128",
                 |r| r.fig15b[1].crashes = 0,
@@ -691,6 +692,9 @@ mod tests {
             }),
             ("Fig. 14 table: Pessimistic is slower than Psession", |r| {
                 avg(&mut r.fig14_table, 1, 60.0)
+            }),
+            ("Fig. 14 table: StateServer 30.0 ms is not faster", |r| {
+                avg(&mut r.fig14_table, 4, 30.0)
             }),
             ("Fig. 14 table: LoOptimistic 45.0 ms is not faster", |r| {
                 avg(&mut r.fig14_table, 0, 45.0)

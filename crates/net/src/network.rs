@@ -370,6 +370,7 @@ impl<M: Send + Clone + 'static> Endpoint<M> {
     /// until the head of the inbox falls due or the timeout passes.
     /// `Shutdown` once this incarnation is unregistered or replaced.
     pub fn recv_timeout(&self, timeout: Duration) -> MspResult<M> {
+        msp_types::punctual_timers();
         let mut now = Instant::now();
         let deadline = now + timeout;
         let mut st = self.inbox.state.lock();
@@ -685,6 +686,46 @@ mod tests {
                 "the receiver slept to the old head: {waited:?}"
             );
         });
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_delayed_hop_reaches_a_fresh_receiver_on_time() {
+        // A fresh thread has the OS's default timer slack (50 µs on
+        // Linux), which would make every timed wait that late. As in
+        // `calibrated_waits_end_close_to_their_deadline` (msp-wal), the
+        // latest tenth is left out: a wake-up that waited for a busy core
+        // is late under any slack.
+        let hop = Duration::from_micros(180);
+        let net: Network<Instant> = Network::new(
+            NetModel {
+                one_way: hop,
+                ..fixed_delay(0)
+            },
+            1,
+        );
+        let a = net.register(msp(1));
+        let b = net.register(msp(2));
+        let mut late: Vec<Duration> = std::thread::scope(|s| {
+            s.spawn(|| {
+                (0..250)
+                    .map(|_| {
+                        a.send(msp(2), Instant::now());
+                        let sent = b.recv_timeout(Duration::from_secs(5)).unwrap();
+                        sent.elapsed().saturating_sub(hop)
+                    })
+                    .collect()
+            })
+            .join()
+            .unwrap()
+        });
+        late.sort_unstable();
+        let kept = &late[..225];
+        let median = kept[kept.len() / 2];
+        assert!(
+            median < Duration::from_micros(20),
+            "median lateness of a 180 us hop, latest tenth left out: {median:?}"
+        );
         net.shutdown();
     }
 

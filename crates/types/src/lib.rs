@@ -44,3 +44,56 @@ pub fn checked_time_scale(scale: f64) -> f64 {
     );
     scale
 }
+
+/// Make the calling thread's timed waits end when they are due. Linux
+/// lets every thread's `thread::sleep` and timed futex wait return up to
+/// its *timer slack* late, 50 µs by default; that is longer than a
+/// modelled network hop at the default time scale. Modelled time is
+/// waited out on many threads the library does not spawn (benchmark
+/// generators, `MspClient` callers), so each wait that stands for
+/// modelled time calls this first rather than each thread at its spawn.
+/// Sets the slack to 1 ns (0 would mean "the default") once per thread;
+/// later calls cost one thread-local read. A no-op off Linux.
+pub fn punctual_timers() {
+    #[cfg(target_os = "linux")]
+    {
+        thread_local! {
+            static PUNCTUAL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+        }
+        const PR_SET_TIMERSLACK: std::ffi::c_int = 29;
+        if !PUNCTUAL.with(|p| p.replace(true)) {
+            // SAFETY: PR_SET_TIMERSLACK reads one unsigned long (the slack
+            // in nanoseconds) and changes only the calling thread's timer
+            // slack; no memory is shared with the kernel. A failure leaves
+            // the default slack, which only makes waits later.
+            unsafe {
+                prctl(PR_SET_TIMERSLACK, 1 as std::ffi::c_ulong);
+            }
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn prctl(option: std::ffi::c_int, ...) -> std::ffi::c_int;
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use super::*;
+
+    const PR_GET_TIMERSLACK: std::ffi::c_int = 30;
+
+    #[test]
+    fn punctual_timers_sets_a_one_nanosecond_slack_once_per_thread() {
+        std::thread::spawn(|| {
+            punctual_timers();
+            punctual_timers();
+            // SAFETY: PR_GET_TIMERSLACK takes no argument and returns the
+            // calling thread's timer slack.
+            assert_eq!(unsafe { prctl(PR_GET_TIMERSLACK) }, 1);
+        })
+        .join()
+        .expect("slack thread");
+    }
+}

@@ -181,6 +181,7 @@ fn wait_until(deadline: Instant) -> Option<Wait> {
     let remaining = deadline
         .checked_duration_since(start)
         .filter(|r| !r.is_zero())?;
+    msp_types::punctual_timers();
     let mut wait = Wait::default();
     let mut now = start;
     let margin = MARGIN_NANOS.get();

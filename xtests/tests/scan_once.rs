@@ -16,7 +16,7 @@ use msp_core::runtime::RuntimeStatsSnapshot;
 use msp_core::{ClusterConfig, Envelope, MspBuilder, MspClient, MspConfig, MspHandle};
 use msp_harness::await_recovery;
 use msp_net::{NetModel, Network};
-use msp_types::{DomainId, Epoch, Lsn, MspId, SessionId};
+use msp_types::{DependencyVector, DomainId, Epoch, Lsn, MspId, SessionId};
 use msp_wal::stats::LogStatsSnapshot;
 use msp_wal::{
     CrashPoint, Disk, DiskModel, FaultPlan, FlushPolicy, LogRecord, MemDisk, PhysicalLog,
@@ -511,6 +511,13 @@ fn session_recovered_again_after_a_peer_crash_reads_the_log() {
     // session, the other draining the four remaining sessions.
     let mut direct = client(&net, 799);
     direct.call(M2, "ping", &[]).unwrap();
+    // What each back session depends on, to tell later which one the
+    // front's crash orphans; recovery rebuilds the same vectors.
+    let back_dvs: Vec<(SessionId, DependencyVector)> = back
+        .dump_sessions()
+        .into_iter()
+        .map(|(id, _)| (id, back.session_dv(id).unwrap()))
+        .collect();
     back.crash();
     let (gate, entered, release) = armed_gate();
     back = start_back(&net, Arc::clone(&d2), Some((gate, 5)));
@@ -534,6 +541,20 @@ fn session_recovered_again_after_a_peer_crash_reads_the_log() {
     wait_until("the orphaned back session to be recovered again", || {
         back.stats().orphan_recoveries >= 6
     });
+    // That count moves as the recovery starts, before it reads anything;
+    // the recovery holds the session's lock until it is done.
+    let knowledge = back.knowledge();
+    let orphaned: Vec<SessionId> = back_dvs
+        .iter()
+        .filter(|(_, dv)| knowledge.is_orphan(dv, M2))
+        .map(|&(id, _)| id)
+        .collect();
+    assert_eq!(
+        orphaned.len(),
+        1,
+        "one back session depends on the lost tail"
+    );
+    back.session_dv(orphaned[0]).unwrap();
     assert!(
         back.log_stats().unwrap().record_reads > 0,
         "the second recovery had no queue and must read the log"
