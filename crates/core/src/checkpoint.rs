@@ -217,7 +217,8 @@ impl MspInner {
         // While crash recovery replays, the sessions it re-created hold
         // state still to be rebuilt and the replay pool wants their
         // locks: the recovery-time checkpoint records positions only.
-        if !self.cfg.logging.checkpoints_enabled || !self.recovery_done.load(Ordering::Acquire) {
+        if !self.cfg.logging.checkpoints_enabled || self.replay_threads.load(Ordering::Acquire) > 0
+        {
             return;
         }
         let anchors: Vec<(SessionId, Lsn)> = cells

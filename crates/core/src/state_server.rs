@@ -6,9 +6,7 @@
 //! measures it as a fast but unrecoverable alternative.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -16,15 +14,11 @@ use msp_net::{EndpointId, Network};
 use msp_types::MspError;
 
 use crate::envelope::Envelope;
-
-struct Inner {
-    map: Mutex<HashMap<Vec<u8>, Vec<u8>>>,
-    stopped: AtomicBool,
-}
+use crate::runtime::IDLE_WAIT;
 
 /// A running state-server process.
 pub struct StateServer {
-    inner: Arc<Inner>,
+    map: Arc<Mutex<HashMap<Vec<u8>, Vec<u8>>>>,
     id: EndpointId,
     net: Network<Envelope>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
@@ -34,50 +28,47 @@ impl StateServer {
     /// Start a state server registered as client endpoint `id` (state
     /// servers are not MSPs; they live outside the domains like clients).
     pub fn start(net: &Network<Envelope>, id: EndpointId) -> StateServer {
-        let inner = Arc::new(Inner {
-            map: Mutex::new(HashMap::new()),
-            stopped: AtomicBool::new(false),
-        });
+        let map = Arc::new(Mutex::new(HashMap::new()));
         let endpoint = net.register(id);
-        let worker = Arc::clone(&inner);
+        let worker = Arc::clone(&map);
         let wnet = net.clone();
+        // Serves until `shutdown` leaves the network, which ends the
+        // receive with `Shutdown`.
         let thread = std::thread::Builder::new()
             .name("state-server".into())
-            .spawn(move || {
-                while !worker.stopped.load(Ordering::Acquire) {
-                    let env = match endpoint.recv_timeout(Duration::from_millis(20)) {
-                        Ok(env) => env,
-                        Err(MspError::Timeout) => continue,
-                        Err(_) => break,
-                    };
-                    match env {
-                        Envelope::StateGet { from, req_id, key } => {
-                            let value = worker.map.lock().get(&key).cloned();
-                            wnet.send(id, from, Envelope::StateResp { req_id, value });
-                        }
-                        Envelope::StatePut {
-                            from,
-                            req_id,
-                            key,
-                            value,
-                        } => {
-                            worker.map.lock().insert(key, value);
-                            wnet.send(
-                                id,
-                                from,
-                                Envelope::StateResp {
-                                    req_id,
-                                    value: Some(Vec::new()),
-                                },
-                            );
-                        }
-                        _ => {}
+            .spawn(move || loop {
+                let env = match endpoint.recv_timeout(IDLE_WAIT) {
+                    Ok(env) => env,
+                    Err(MspError::Timeout) => continue,
+                    Err(_) => break,
+                };
+                match env {
+                    Envelope::StateGet { from, req_id, key } => {
+                        let value = worker.lock().get(&key).cloned();
+                        wnet.send(id, from, Envelope::StateResp { req_id, value });
                     }
+                    Envelope::StatePut {
+                        from,
+                        req_id,
+                        key,
+                        value,
+                    } => {
+                        worker.lock().insert(key, value);
+                        wnet.send(
+                            id,
+                            from,
+                            Envelope::StateResp {
+                                req_id,
+                                value: Some(Vec::new()),
+                            },
+                        );
+                    }
+                    _ => {}
                 }
             })
             .expect("spawn state server");
         StateServer {
-            inner,
+            map,
             id,
             net: net.clone(),
             thread: Mutex::new(Some(thread)),
@@ -86,23 +77,22 @@ impl StateServer {
 
     /// Number of stored blobs (tests/diagnostics).
     pub fn len(&self) -> usize {
-        self.inner.map.lock().len()
+        self.map.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.inner.map.lock().is_empty()
+        self.map.lock().is_empty()
     }
 
     /// Crash the state server: stored session states are lost — the
     /// failure mode the paper holds against this configuration.
     pub fn crash(&self) {
-        self.inner.map.lock().clear();
+        self.map.lock().clear();
         self.shutdown();
     }
 
     /// Stop the server thread.
     pub fn shutdown(&self) {
-        self.inner.stopped.store(true, Ordering::Release);
         self.net.unregister(self.id);
         if let Some(t) = self.thread.lock().take() {
             let _ = t.join();
